@@ -325,10 +325,12 @@ def _canonical_violation(game: Game) -> tuple[str, str, str] | None:
         for node in members:
             cell_by_node[node] = label
     order: list[str] = []
+    seen: set[str] = set()
     stack = [game.root]
     while stack:
         element = stack.pop()
-        if element in game.player_map:
+        if element in game.player_map and element not in seen:
+            seen.add(element)
             order.append(element)
             stack.extend(reversed(_children(game, element)))
     for node in order:
@@ -365,7 +367,8 @@ def canonicalize(game: Game) -> Game:
             if node in descendants(current, current.successor_map[(ancestor, action)]):
                 kept_action = action
                 break
-        assert kept_action is not None
+        if kept_action is None:
+            raise RuntimeError(f"no action at {ancestor!r} leads to its same-cell descendant {node!r}")
         keep = current.successor_map[(node, kept_action)]
         dead = set(descendants(current, node)) - set(descendants(current, keep))
         parents = _parent_index(current)

@@ -163,7 +163,8 @@ def naive_solve(game: Game) -> SolveResult:
                 worst = min(game.utility(player, z) for z in pool)
                 if best is None or worst > best[0]:
                     best = (worst, action)
-            assert best is not None
+            if best is None:
+                raise RuntimeError(f"no action at {cell!r} leads to a surviving outcome")
             maximins[cell] = best
         witnesses: dict[str, list[tuple[str, str]]] = {}
         for cell in game.infosets:
@@ -173,7 +174,10 @@ def naive_solve(game: Game) -> SolveResult:
             value, argmax = maximins[cell]
             for z in surviving:
                 if game.utility(player, z) < value:
-                    assert argmax != action_at(cell, z)
+                    if argmax == action_at(cell, z):
+                        raise RuntimeError(
+                            f"preemption witness at {cell!r} coincides with the action toward {z!r}"
+                        )
                     witnesses.setdefault(z, []).append((player, cell))
         by = {z: tuple(witnesses[z]) for z in game.outcomes if z in witnesses}
         eliminated = frozenset(by)

@@ -9,23 +9,32 @@ it known to be the result, its player would profitably deviate at a cell
 that is reached no matter what. The surviving set shrinks until nothing
 more can be discarded; with tie-free payoffs the fixpoint is a singleton
 or empty, never larger.
+
+The game is compiled once per call into integer bitmasks in payoff-rank
+space. Each player sorts the outcomes by their own payoff (ties in
+declaration order), so bit ``r`` of one of their masks stands for their
+``r``-th worst outcome and ``first[r]`` is the first rank paying the same.
+A cell keeps the mask of outcomes below its members, and each action the
+mask below the members' children under it, both in the cell player's
+ranks; each player keeps a live mask of the survivors. A step is then the
+paper's step in a few integer operations per cell:
+
+- the cell is certain to be crossed iff every survivor is below it,
+  ``live & ~cell_mask == 0``;
+- an action's worst surviving payoff is the lowest set bit of
+  ``live & action_mask``, and the maximin is the first action in cell
+  order whose worst rank (through ``first``) is strictly the best;
+- the survivors paying less than that guarantee are exactly the bits below
+  its first rank, ``live & ((1 << first[worst]) - 1)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Collection, Iterable, Mapping
 
-from .game import (
-    Game,
-    _canonical_violation,
-    action_toward,
-    game_has_ties,
-    infoset_descendants,
-    infoset_successors,
-    descendants,
-)
+from .game import Game, _canonical_violation, game_has_ties
 
 UNIQUE = "unique"
 EMPTY = "empty"
@@ -62,13 +71,140 @@ class SolveResult:
     status: str
 
 
+class _Ranks:
+    """One player's outcomes sorted by payoff; ties keep declaration order."""
+
+    def __init__(self, game: Game, player: str) -> None:
+        self.outcomes = sorted(game.outcomes, key=lambda z: game.utility(player, z))
+        self.rank = {z: r for r, z in enumerate(self.outcomes)}
+        self.values = [game.utility(player, z) for z in self.outcomes]
+        self.first = list(range(len(self.values)))
+        for r in range(1, len(self.values)):
+            if self.values[r] == self.values[r - 1]:
+                self.first[r] = self.first[r - 1]
+
+    def mask(self, outcomes: Iterable[str]) -> int:
+        result = 0
+        for z in outcomes:
+            result |= 1 << self.rank[z]
+        return result
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """A cell's outcome masks, in its player's ranks; actions in cell order."""
+
+    label: str
+    player: str
+    ranks: _Ranks
+    mask: int
+    actions: tuple[tuple[str, int], ...]
+
+
+class _Index:
+    """The game compiled for one solve: ranks, cell masks, action masks."""
+
+    def __init__(self, game: Game) -> None:
+        self.game = game
+        order: list[str] = []
+        seen: set[str] = set()
+        stack = [game.root]
+        while stack:
+            element = stack.pop()
+            if element in seen:
+                raise ValueError(f"{element!r} is reached twice from the root; the game is not a tree")
+            seen.add(element)
+            order.append(element)
+            if element in game.player_map:
+                stack.extend(game.successor_map[(element, a)] for a in game.action_map[element])
+
+        cell_players = {label: game.cell_player(label) for label in game.infosets}
+        self.ranks = {player: _Ranks(game, player) for player in dict.fromkeys(cell_players.values())}
+        below: dict[str, dict[str, int]] = {}
+        for player, ranks in self.ranks.items():
+            masks: dict[str, int] = {}
+            for element in reversed(order):
+                if element in game.player_map:
+                    mask = 0
+                    for a in game.action_map[element]:
+                        mask |= masks[game.successor_map[(element, a)]]
+                    masks[element] = mask
+                else:
+                    masks[element] = 1 << ranks.rank[element]
+            below[player] = masks
+
+        self.cells: dict[str, _Cell] = {}
+        for label, members in game.infosets.items():
+            player = cell_players[label]
+            masks = below[player]
+            actions = tuple(
+                (a, _union(masks[game.successor_map[(m, a)]] for m in members))
+                for a in game.cell_actions(label)
+            )
+            cell_mask = _union(masks[m] for m in members)
+            self.cells[label] = _Cell(label, player, self.ranks[player], cell_mask, actions)
+
+    def live(self, surviving: Collection[str]) -> dict[str, int]:
+        """Each cell player's mask of the surviving outcomes."""
+        return {player: ranks.mask(surviving) for player, ranks in self.ranks.items()}
+
+
+def _union(masks: Iterable[int]) -> int:
+    result = 0
+    for mask in masks:
+        result |= mask
+    return result
+
+
+def _reached(index: _Index, live: Mapping[str, int]) -> list[_Cell]:
+    return [cell for cell in index.cells.values() if not live[cell.player] & ~cell.mask]
+
+
+def _maximin(live: Mapping[str, int], cell: _Cell) -> tuple[int, str, int]:
+    """(first rank of the guaranteed payoff, maximizing action, its mask)."""
+    first = cell.ranks.first
+    pool = live[cell.player]
+    best: tuple[int, str, int] | None = None
+    for action, mask in cell.actions:
+        here = pool & mask
+        if not here:
+            continue
+        worst = first[(here & -here).bit_length() - 1]
+        if best is None or worst > best[0]:
+            best = (worst, action, mask)
+    if best is None:
+        raise RuntimeError(f"no action at {cell.label!r} leads to a surviving outcome")
+    return best
+
+
+def _step(
+    index: _Index, live: Mapping[str, int], cells: Iterable[_Cell]
+) -> tuple[dict[str, tuple[Fraction, str]], dict[str, tuple[tuple[str, str], ...]]]:
+    """Maximins at the given cells and the survivors they preempt, with witnesses."""
+    maximins: dict[str, tuple[Fraction, str]] = {}
+    witnesses: dict[str, list[tuple[str, str]]] = {}
+    for cell in cells:
+        worst, argmax, argmax_mask = _maximin(live, cell)
+        maximins[cell.label] = (cell.ranks.values[worst], argmax)
+        below = live[cell.player] & ((1 << worst) - 1)
+        # The maximizing action cannot lead to a preempted outcome: its
+        # worst surviving payoff is the guarantee itself.
+        if below & argmax_mask:
+            raise RuntimeError(f"preemption witness at {cell.label!r} coincides with the maximizing action")
+        while below:
+            low = below & -below
+            z = cell.ranks.outcomes[low.bit_length() - 1]
+            witnesses.setdefault(z, []).append((cell.player, cell.label))
+            below ^= low
+    return maximins, {z: tuple(witnesses[z]) for z in index.game.outcomes if z in witnesses}
+
+
 def reached_infosets(game: Game, surviving: frozenset[str]) -> frozenset[str]:
     """Cells the play is certain to cross: every survivor sits below them."""
     if not surviving:
         raise ValueError("the surviving set must be nonempty")
-    return frozenset(
-        cell for cell in game.infosets if surviving <= infoset_descendants(game, cell)
-    )
+    index = _Index(game)
+    return frozenset(cell.label for cell in _reached(index, index.live(surviving)))
 
 
 def maximin(game: Game, surviving: frozenset[str], cell: str) -> tuple[Fraction, str]:
@@ -78,53 +214,18 @@ def maximin(game: Game, surviving: frozenset[str], cell: str) -> tuple[Fraction,
     each is valued by its worst surviving payoff. Ties between actions
     break toward the cell's action declaration order.
     """
-    player = game.cell_player(cell)
-    best: tuple[Fraction, str] | None = None
-    for action in game.cell_actions(cell):
-        live = surviving & frozenset(
-            z
-            for child in infoset_successors(game, cell, action)
-            for z in descendants(game, child)
-        )
-        if not live:
-            continue
-        worst = min(game.utility(player, z) for z in live)
-        if best is None or worst > best[0]:
-            best = (worst, action)
-    if best is None:
-        raise RuntimeError(f"no action at {cell!r} leads to a surviving outcome")
-    return best
-
-
-def _preemption_detail(
-    game: Game,
-    surviving: frozenset[str],
-    reached: frozenset[str],
-    maximins: Mapping[str, tuple[Fraction, str]],
-) -> tuple[frozenset[str], dict[str, tuple[tuple[str, str], ...]]]:
-    witnesses: dict[str, list[tuple[str, str]]] = {}
-    for cell in game.infosets:
-        if cell not in reached:
-            continue
-        player = game.cell_player(cell)
-        value, argmax = maximins[cell]
-        for z in surviving:
-            if game.utility(player, z) < value:
-                # The maximizing action cannot be the one leading to z:
-                # its subtree minimum is at most u(z), which is below the max.
-                assert argmax != action_toward(game, cell, z), (
-                    f"preemption witness at {cell!r} coincides with the action toward {z!r}"
-                )
-                witnesses.setdefault(z, []).append((player, cell))
-    ordered = {z: tuple(witnesses[z]) for z in game.outcomes if z in witnesses}
-    return frozenset(ordered), ordered
+    index = _Index(game)
+    compiled = index.cells[cell]
+    worst, action, _ = _maximin(index.live(surviving), compiled)
+    return compiled.ranks.values[worst], action
 
 
 def preempted(game: Game, surviving: frozenset[str], reached: frozenset[str]) -> frozenset[str]:
     """Outcomes paying some player less than a reached-cell guarantee."""
-    maximins = {cell: maximin(game, surviving, cell) for cell in game.infosets if cell in reached}
-    eliminated, _ = _preemption_detail(game, surviving, reached, maximins)
-    return eliminated
+    index = _Index(game)
+    cells = [cell for cell in index.cells.values() if cell.label in reached]
+    _, by = _step(index, index.live(surviving), cells)
+    return frozenset(by)
 
 
 def solve(game: Game) -> SolveResult:
@@ -142,19 +243,22 @@ def solve(game: Game) -> SolveResult:
             "canonicalize the game first"
         )
     has_ties = game_has_ties(game)
+    index = _Index(game)
+    live = index.live(game.outcomes)
     surviving = frozenset(game.outcomes)
     steps: list[SolverState] = []
     step = 0
     while surviving:
-        reached = reached_infosets(game, surviving)
-        maximins = {
-            cell: maximin(game, surviving, cell) for cell in game.infosets if cell in reached
-        }
-        eliminated, by = _preemption_detail(game, surviving, reached, maximins)
+        cells = _reached(index, live)
+        maximins, by = _step(index, live, cells)
+        eliminated = frozenset(by)
+        reached = frozenset(cell.label for cell in cells)
         steps.append(SolverState(step, surviving, reached, maximins, eliminated, by))
         if not eliminated:
             break
         surviving = surviving - eliminated
+        for player, ranks in index.ranks.items():
+            live[player] &= ~ranks.mask(eliminated)
         step += 1
     if len(surviving) == 1:
         status = UNIQUE

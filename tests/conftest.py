@@ -170,3 +170,99 @@ def all_profiles(game: Game):
             yield from rec(i + 1, acc)
 
     yield from rec(0, {})
+
+
+# -- exact-size generators, at the benchmark's input sizes ---------------------
+
+
+def _tie_free_utilities(rng: random.Random, players, outcomes) -> dict[tuple[str, str], Fraction]:
+    """Each player ranks the outcomes by a fresh permutation of 1..|Z|."""
+    utility_map = {}
+    for player in players:
+        values = list(range(1, len(outcomes) + 1))
+        rng.shuffle(values)
+        for z, value in zip(outcomes, values):
+            utility_map[(player, z)] = Fraction(value)
+    return utility_map
+
+
+def binary_tree_game(depth: int, seed: int, entangled: bool = False) -> Game:
+    """Complete binary tree of choice nodes named by their L/R paths.
+
+    Two players alternate by depth. Cells are singletons, unless
+    ``entangled``: then of every pair of sibling nodes at depth >= 2 one,
+    chosen at random, joins its grandparent's cell, so the game is not
+    canonical.
+    """
+    rng = random.Random(seed)
+    players = ("P1", "P2")
+    nodes = [p for d in range(depth) for p in _paths_of_length(d)]
+    outcomes = _paths_of_length(depth)
+    cell_of = {node: "c" + node for node in nodes}
+    if entangled:
+        for node in nodes:
+            if len(node) >= 2 and node.endswith("L"):
+                joining = node[:-1] + rng.choice("LR")
+                cell_of[joining] = cell_of[joining[:-2]]
+    infosets: dict[str, tuple[str, ...]] = {}
+    for node in nodes:
+        infosets.setdefault(cell_of[node], ())
+        infosets[cell_of[node]] += (node,)
+    return Game(
+        players=players,
+        actions=("L", "R"),
+        choice_nodes=tuple(nodes),
+        outcomes=tuple(outcomes),
+        action_map={node: ("L", "R") for node in nodes},
+        player_map={node: players[len(node) % 2] for node in nodes},
+        successor_map={(node, a): node + a for node in nodes for a in ("L", "R")},
+        utility_map=_tie_free_utilities(rng, players, outcomes),
+        infosets=infosets,
+        root="",
+    )
+
+
+def _paths_of_length(length: int) -> list[str]:
+    paths = [""]
+    for _ in range(length):
+        paths = [p + a for p in paths for a in ("L", "R")]
+    return paths
+
+
+def square_normal_form(k: int, seed: int) -> Game:
+    """A tie-free k x k two-player matrix game."""
+    rng = random.Random(seed)
+    rows = tuple(f"r{i}" for i in range(k))
+    cols = tuple(f"c{j}" for j in range(k))
+    profiles = [(r, c) for r in rows for c in cols]
+    row_pay = rng.sample(range(1, k * k + 1), k * k)
+    col_pay = rng.sample(range(1, k * k + 1), k * k)
+    matrix = {profile: (row_pay[i], col_pay[i]) for i, profile in enumerate(profiles)}
+    return embed_normal_form(matrix, ("Row", "Col"), (rows, cols))
+
+
+def timelike_chain_setup(n: int, seed: int) -> SpacetimeSetup:
+    """n go/stop points on one worldline, two agents alternating.
+
+    Point k requires `go` at every earlier point, the only valid
+    contingency triangle for a timelike chain; the n + 1 complete
+    histories get tie-free payoffs.
+    """
+    rng = random.Random(seed)
+    agents = ("A", "B")
+    points = tuple(
+        DecisionPoint(f"p{k}", agents[k % 2], (Fraction(0), Fraction(k)), ("go", "stop"))
+        for k in range(n)
+    )
+    keys = [",".join(["go"] * n)] + [
+        ",".join(["go"] * k + ["stop"] + ["_"] * (n - 1 - k)) for k in range(n)
+    ]
+    utility_map = _tie_free_utilities(rng, agents, keys)
+    return SpacetimeSetup(
+        dimension=2,
+        agents=agents,
+        actions=("go", "stop"),
+        points=points,
+        contingency={f"p{k}": {f"p{j}": "go" for j in range(k)} for k in range(1, n)},
+        utilities={key: {agent: utility_map[(agent, key)] for agent in agents} for key in keys},
+    )

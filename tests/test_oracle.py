@@ -7,8 +7,10 @@ import pytest
 
 from ptesolver import (
     EMPTY,
+    Game,
     GeneratorParams,
     build_game,
+    canonicalize,
     embed_normal_form,
     game_has_ties,
     naive_solve,
@@ -21,7 +23,16 @@ from ptesolver import (
     validate_game,
 )
 
-from conftest import PD_ACTIONS, PD_MATRIX, PD_PLAYERS
+from conftest import (
+    PD_ACTIONS,
+    PD_MATRIX,
+    PD_PLAYERS,
+    binary_tree_game,
+    square_normal_form,
+    timelike_chain_setup,
+)
+
+SHAPES = ("normal_form", "perfect_info", "general_imperfect", "spacetime")
 
 
 class TestParetoFrontier:
@@ -61,16 +72,61 @@ class TestNaiveSolve:
         assert naive_solve(game) == solve(game)
 
     def test_five_hundred_random_games(self):
-        shapes = ("normal_form", "perfect_info", "general_imperfect", "spacetime")
         for seed in range(500):
-            params = GeneratorParams(seed=seed, shape=shapes[seed % 4], max_outcomes=20)
+            params = GeneratorParams(seed=seed, shape=SHAPES[seed % 4], max_outcomes=20)
             game = random_game(params)
             assert naive_solve(game) == solve(game), (seed, params.shape)
 
     def test_agrees_on_tied_games_too(self):
-        for seed in range(100):
-            game = random_game(GeneratorParams(seed=seed, no_ties=False, max_outcomes=12))
-            assert naive_solve(game) == solve(game)
+        # Tied payoffs share a first rank in the solver's rank space.
+        for shape in SHAPES:
+            for seed in range(200):
+                game = random_game(GeneratorParams(seed=seed, shape=shape, no_ties=False, max_outcomes=12))
+                assert naive_solve(game) == solve(game), (seed, shape)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: binary_tree_game(8, seed=3),
+            lambda: square_normal_form(24, seed=3),
+            lambda: canonicalize(binary_tree_game(8, seed=3, entangled=True)),
+            lambda: build_game(timelike_chain_setup(160, seed=3)),
+        ],
+        ids=["perfect-tree-depth-8", "normal-form-24x24", "canonicalized-depth-8", "timelike-chain-160"],
+    )
+    def test_agrees_at_benchmark_sizes(self, make):
+        game = make()
+        assert naive_solve(game) == solve(game)
+
+    def test_cell_members_listing_actions_in_different_orders(self):
+        # Col's two nodes list l and r in opposite orders; both actions
+        # guarantee Col 1, so the tie breaks toward the first member's order.
+        outcomes = ("U,l", "U,r", "D,l", "D,r")
+        payoffs = {"U,l": (4, 1), "U,r": (3, 2), "D,l": (2, 3), "D,r": (1, 1)}
+        game = Game(
+            players=("Row", "Col"),
+            actions=("U", "D", "l", "r"),
+            choice_nodes=("", "U", "D"),
+            outcomes=outcomes,
+            action_map={"": ("U", "D"), "U": ("l", "r"), "D": ("r", "l")},
+            player_map={"": "Row", "U": "Col", "D": "Col"},
+            successor_map={
+                ("", "U"): "U",
+                ("", "D"): "D",
+                ("U", "l"): "U,l",
+                ("U", "r"): "U,r",
+                ("D", "l"): "D,l",
+                ("D", "r"): "D,r",
+            },
+            utility_map={
+                (player, z): Fraction(payoffs[z][i]) for z in outcomes for i, player in enumerate(("Row", "Col"))
+            },
+            infosets={"row": ("",), "col": ("U", "D")},
+            root="",
+        )
+        result = solve(game)
+        assert result.steps[0].maximins["col"] == (Fraction(1), "l")
+        assert naive_solve(game) == result
 
 
 class TestRandomGame:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from ptesolver import (
     action_toward,
     build_game,
     embed_normal_form,
+    is_canonical,
     maximin,
     preempted,
     reached_infosets,
@@ -37,6 +39,23 @@ def one_outcome_game() -> Game:
         infosets={},
         root="end",
     )
+
+
+def returns_within(seconds: float, call):
+    """Run ``call`` in a daemon thread; its result or exception, or fail on a hang."""
+    box: list = []
+
+    def run():
+        try:
+            box.append(call())
+        except Exception as exc:
+            box.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"no return within {seconds} s"
+    return box[0]
 
 
 class TestReachedInfosets:
@@ -127,6 +146,23 @@ class TestSolve:
                 solve(game)
             return
         pytest.fail("no entangled game produced")
+
+    def test_cyclic_successor_map_does_not_hang(self):
+        # a -> b -> a, and both lead to z: not a tree, but built without validation.
+        game = Game(
+            players=("P",),
+            actions=("x", "y"),
+            choice_nodes=("a", "b"),
+            outcomes=("z",),
+            action_map={"a": ("x", "y"), "b": ("x", "y")},
+            player_map={"a": "P", "b": "P"},
+            successor_map={("a", "x"): "b", ("a", "y"): "z", ("b", "x"): "a", ("b", "y"): "z"},
+            utility_map={("P", "z"): Fraction(1)},
+            infosets={"ia": ("a",), "ib": ("b",)},
+            root="a",
+        )
+        assert returns_within(1.0, lambda: is_canonical(game)) is True
+        assert isinstance(returns_within(1.0, lambda: solve(game)), ValueError)
 
     def test_tied_game_still_runs(self):
         matrix = {("a", "x"): (1, 1), ("a", "y"): (1, 1), ("b", "x"): (1, 1), ("b", "y"): (1, 1)}
