@@ -17,7 +17,6 @@ from .game import (
     embed_normal_form,
     game_has_ties,
     has_perfect_recall,
-    infoset_descendants,
     infoset_successors,
     is_canonical,
     successor,
@@ -42,20 +41,15 @@ from .spacetime import (
     DecisionPoint,
     History,
     Separation,
+    SetupError,
     SetupReport,
     SpacetimeSetup,
     build_game,
     causal_dag,
-    enumerate_histories,
-    interval_squared,
-    matches,
     separation,
     spacelike_agent_check,
-    successor_hat,
     total_order,
-    triangle_rows,
     validate_setup,
-    validate_triangle,
 )
 from .oracle import (
     GeneratorParams,

@@ -25,7 +25,7 @@ from .formats import (
 from .game import canonicalize, validate_game
 from .oracle import naive_solve, search_empty_pte
 from .solver import EMPTY, MULTIPLE_WITH_TIES, NotCanonicalError, solve
-from .spacetime import build_game, total_order, validate_setup
+from .spacetime import SetupError, build_game, total_order
 
 STATUS_EXIT = {EMPTY: 2, MULTIPLE_WITH_TIES: 3}
 
@@ -88,12 +88,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_spacetime_build(args: argparse.Namespace) -> int:
     setup = parse_setup(_read(args.input))
-    report = validate_setup(setup)
-    if not report.ok:
-        for issue in report.errors:
+    try:
+        game = build_game(setup)
+    except SetupError as exc:
+        for issue in exc.report.errors:
             print(f"error {issue.code}: {issue.message}", file=sys.stderr)
         return 1
-    game = build_game(setup)
     if args.game_only:
         sys.stdout.write(serialize_game(game))
     else:
@@ -195,6 +195,9 @@ def run(argv: list[str]) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -56,6 +56,8 @@ def _loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("document is nested too deeply") from exc
 
 
 def parse_game(text: str) -> Game:

@@ -47,18 +47,8 @@ class Game:
     infosets: Mapping[str, tuple[str, ...]]
     root: str
 
-    def is_outcome(self, element: str) -> bool:
-        return element in self.outcomes
-
     def utility(self, player: str, outcome: str) -> Fraction:
         return self.utility_map[(player, outcome)]
-
-    def cell_of(self, node: str) -> str:
-        """Label of the information-set cell containing ``node``."""
-        for label, members in self.infosets.items():
-            if node in members:
-                return label
-        raise KeyError(f"node {node!r} is not in any information set")
 
     def cell_player(self, cell: str) -> str:
         members = self.infosets[cell]
@@ -137,14 +127,6 @@ def descendants(game: Game, start: str) -> frozenset[str]:
         seen.add(element)
         stack.extend(_children(game, element))
     return frozenset(seen)
-
-
-def infoset_descendants(game: Game, cell: str) -> frozenset[str]:
-    """Union of the member subtrees of an information-set cell."""
-    result: set[str] = set()
-    for node in game.infosets[cell]:
-        result |= descendants(game, node)
-    return frozenset(result)
 
 
 def successor(game: Game, node: str, action: str) -> str:

@@ -27,7 +27,7 @@ from .solver import (
     SolverState,
     solve,
 )
-from .spacetime import DecisionPoint, SpacetimeSetup, _enumerate_ordered, build_game
+from .spacetime import DecisionPoint, SpacetimeSetup, _Triangle, build_game
 
 SHAPES = ("normal_form", "perfect_info", "general_imperfect", "spacetime")
 
@@ -352,7 +352,7 @@ def random_setup(
             contingency=_forced_triangle(sub, points),
             utilities={},
         )
-        complete, _ = _enumerate_ordered(setup)
+        complete, _ = _Triangle(setup).histories
         if not complete or len(complete) > max_outcomes:
             continue
         utilities: dict[str, dict[str, Fraction]] = {h.key(): {} for h in complete}

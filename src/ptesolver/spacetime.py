@@ -9,16 +9,23 @@ i.e. the earlier actions that must have happened for the decision to be
 made at all. Consistent assignments of actions to points are histories,
 and the histories form an extensive-form game with imperfect information
 whose information sets group the incomplete histories by pending point.
+
+Public entry points: :func:`separation`, :func:`causal_dag`,
+:func:`total_order`, :func:`validate_setup`, :func:`spacelike_agent_check`
+and :func:`build_game`. The order, the contingency rows and the histories
+are derived once per validation or build, and :func:`build_game`
+validates once, raising :class:`SetupError` with the full report when the
+setup is invalid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .game import Game, ValidationIssue
-from .exact import parse_exact
 
 TIMELIKE = "timelike"
 SPACELIKE = "spacelike"
@@ -100,7 +107,16 @@ class SetupReport:
         return not self.errors
 
 
-def interval_squared(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
+class SetupError(ValueError):
+    """An invalid setup given to :func:`build_game`; ``report`` holds every error."""
+
+    def __init__(self, report: SetupReport) -> None:
+        details = "; ".join(issue.message for issue in report.errors[:5])
+        super().__init__(f"invalid spacetime setup: {details}")
+        self.report = report
+
+
+def _interval_squared(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
     """Squared spacetime interval, positive for spacelike pairs."""
     space = sum((a - b) ** 2 for a, b in zip(p[:-1], q[:-1]))
     return space - (p[-1] - q[-1]) ** 2
@@ -111,16 +127,12 @@ def separation(p: Sequence[Fraction], q: Sequence[Fraction], dimension: int) -> 
         raise ValueError(f"coordinates must have length {dimension}")
     if tuple(p) == tuple(q):
         return Separation(COLOCATED)
-    s2 = interval_squared(p, q)
+    s2 = _interval_squared(p, q)
     if s2 > 0:
         return Separation(SPACELIKE)
     # s2 == 0 with p != q is lightlike: a light-speed signal connects the
     # events, so it is ordered like a timelike pair.
     return Separation(TIMELIKE, earlier=0 if p[-1] < q[-1] else 1)
-
-
-def _point_index(setup: SpacetimeSetup) -> dict[str, DecisionPoint]:
-    return {point.id: point for point in setup.points}
 
 
 def causal_dag(setup: SpacetimeSetup) -> dict[str, frozenset[str]]:
@@ -148,22 +160,70 @@ def total_order(setup: SpacetimeSetup) -> list[DecisionPoint]:
     return sorted(setup.points, key=lambda pt: (pt.coords[-1], pt.coords[:-1], pt.id))
 
 
-def triangle_rows(setup: SpacetimeSetup) -> list[tuple[str | None, ...]]:
-    """Contingency rows in total order; row k has one entry per earlier point."""
-    order = total_order(setup)
-    rows: list[tuple[str | None, ...]] = []
-    for k, point in enumerate(order):
-        assigned = setup.contingency.get(point.id, {})
-        rows.append(tuple(assigned.get(order[l].id) for l in range(k)))
-    return rows
-
-
 def _rows_consistent(row_l: Sequence[str | None], row_k: Sequence[str | None]) -> bool:
     """Every requirement of the earlier row is met by the later row's entries."""
     return all(a is None or a == row_k[m] for m, a in enumerate(row_l))
 
 
-def validate_triangle(setup: SpacetimeSetup) -> SetupReport:
+class _Triangle:
+    """The points in total order and their contingency rows, derived once.
+
+    Row k has one entry per earlier point: the action the contingency
+    requires there, or None. A prefix covering the first k points leaves
+    a decision pending at point k iff it meets row k. The histories are
+    walked on first use and kept with the object, which lives for one
+    validation or build.
+    """
+
+    def __init__(self, setup: SpacetimeSetup) -> None:
+        self.order = total_order(setup)
+        self.rows: list[tuple[str | None, ...]] = []
+        for k, point in enumerate(self.order):
+            assigned = setup.contingency.get(point.id, {})
+            self.rows.append(tuple(assigned.get(earlier.id) for earlier in self.order[:k]))
+
+    def pending(self, prefix: tuple[str | None, ...]) -> bool:
+        """Whether a decision happens at the point after ``prefix``."""
+        return _rows_consistent(self.rows[len(prefix)], prefix)
+
+    def successor(self, history: History, action: str) -> History:
+        """Extend a history by a decision plus any forced skips.
+
+        After the chosen action, every point whose contingency row is not
+        met gets the dummy entry, stopping at the next point with a real
+        decision pending or at completion. Distinct (history, action) pairs
+        give distinct results, since the input is recoverable by stripping
+        the trailing dummies and the last action.
+        """
+        extended = history.actions + (action,)
+        while len(extended) < len(self.order) and not self.pending(extended):
+            extended += (None,)
+        return History(extended)
+
+    @cached_property
+    def histories(self) -> tuple[list[History], list[History]]:
+        """Consistent histories in preorder: (complete, incomplete-with-pending-decision).
+
+        One walk with an explicit stack; the children of a pending history
+        go on the stack in reverse action order so that they come off it
+        in action order.
+        """
+        n = len(self.order)
+        complete: list[History] = []
+        incomplete: list[History] = []
+        stack = [History(())]
+        while stack:
+            history = stack.pop()
+            if len(history) == n:
+                complete.append(history)
+                continue
+            incomplete.append(history)
+            actions = self.order[len(history)].actions
+            stack.extend(self.successor(history, action) for action in reversed(actions))
+        return complete, incomplete
+
+
+def _triangle_issues(setup: SpacetimeSetup, triangle: _Triangle) -> list[ValidationIssue]:
     """Check the three contingency constraints against the total order.
 
     An entry may exist only for a timelike predecessor whose own row is
@@ -171,9 +231,8 @@ def validate_triangle(setup: SpacetimeSetup) -> SetupReport:
     hold; assigned actions must be available at the earlier point.
     """
     errors: list[ValidationIssue] = []
-    order = total_order(setup)
+    order = triangle.order
     index = {point.id: position for position, point in enumerate(order)}
-    by_id = _point_index(setup)
 
     for pid, assigned in setup.contingency.items():
         if pid not in index:
@@ -193,10 +252,10 @@ def validate_triangle(setup: SpacetimeSetup) -> SetupReport:
                     )
                 )
     if errors:
-        return SetupReport(tuple(errors), ())
+        return errors
 
     dag = causal_dag(setup)
-    rows = triangle_rows(setup)
+    rows = triangle.rows
     for k, point in enumerate(order):
         row_k = rows[k]
         for l in range(k):
@@ -223,7 +282,7 @@ def validate_triangle(setup: SpacetimeSetup) -> SetupReport:
                             (point.id, earlier.id),
                         )
                     )
-                if entry not in by_id[earlier.id].actions:
+                if entry not in earlier.actions:
                     errors.append(
                         ValidationIssue(
                             "BAD_CONTINGENT_ACTION",
@@ -240,78 +299,7 @@ def validate_triangle(setup: SpacetimeSetup) -> SetupReport:
                         (point.id, earlier.id),
                     )
                 )
-    return SetupReport(tuple(errors), ())
-
-
-def matches(setup: SpacetimeSetup, prefix: History, index: int) -> bool:
-    """Whether a prefix meets the contingency row of the point at ``index``.
-
-    ``index`` is the 0-based position in the total order; the prefix must
-    cover exactly the earlier positions.
-    """
-    rows = triangle_rows(setup)
-    if index < 0 or index >= len(rows):
-        raise ValueError(f"point index {index} out of range")
-    row = rows[index]
-    if len(prefix.actions) != len(row):
-        raise ValueError(f"prefix has length {len(prefix.actions)}, expected {len(row)}")
-    return _rows_consistent(row, prefix.actions)
-
-
-def _enumerate_ordered(setup: SpacetimeSetup) -> tuple[list[History], list[History]]:
-    """Consistent histories in preorder: (complete, incomplete-with-pending-decision)."""
-    order = total_order(setup)
-    rows = triangle_rows(setup)
-    n = len(order)
-    complete: list[History] = []
-    incomplete: list[History] = []
-
-    def walk(prefix: tuple[str | None, ...]) -> None:
-        m = len(prefix)
-        if m == n:
-            complete.append(History(prefix))
-            return
-        if _rows_consistent(rows[m], prefix):
-            incomplete.append(History(prefix))
-            for action in order[m].actions:
-                walk(prefix + (action,))
-        else:
-            walk(prefix + (None,))
-
-    walk(())
-    return complete, incomplete
-
-
-def enumerate_histories(setup: SpacetimeSetup) -> tuple[frozenset[History], frozenset[History]]:
-    """All consistent complete histories and all consistent incomplete
-    histories at which a decision is actually pending."""
-    complete, incomplete = _enumerate_ordered(setup)
-    return frozenset(complete), frozenset(incomplete)
-
-
-def successor_hat(setup: SpacetimeSetup, incomplete: History, action: str) -> History:
-    """Extend an incomplete history by a decision plus any forced skips.
-
-    After the chosen action, every subsequent point whose contingency row
-    is not matched gets the dummy entry, stopping at the next point with
-    a real decision pending or at completion. Distinct (history, action)
-    pairs give distinct results, since the input is recoverable by
-    stripping the trailing dummies and the last action.
-    """
-    order = total_order(setup)
-    rows = triangle_rows(setup)
-    n = len(order)
-    m = len(incomplete.actions)
-    if m >= n:
-        raise ValueError("history is already complete")
-    if not _rows_consistent(rows[m], incomplete.actions):
-        raise ValueError(f"no decision is pending after {incomplete.key()!r}")
-    if action not in order[m].actions:
-        raise ValueError(f"action {action!r} is not available at point {order[m].id!r}")
-    extended = incomplete.actions + (action,)
-    while len(extended) < n and not _rows_consistent(rows[len(extended)], extended):
-        extended = extended + (None,)
-    return History(extended)
+    return errors
 
 
 def _utility_issues(
@@ -350,8 +338,8 @@ def _utility_issues(
     return errors, has_ties
 
 
-def validate_setup(setup: SpacetimeSetup) -> SetupReport:
-    """Full validation: structure, contingency triangle, utility totality."""
+def _check(setup: SpacetimeSetup) -> tuple[SetupReport, _Triangle | None]:
+    """Full validation, and the triangle it derived when the setup is valid."""
     errors: list[ValidationIssue] = []
     warnings: list[ValidationIssue] = []
     if setup.dimension < 1:
@@ -398,17 +386,23 @@ def validate_setup(setup: SpacetimeSetup) -> SetupReport:
                     )
                 )
     if errors:
-        return SetupReport(tuple(errors), tuple(warnings))
+        return SetupReport(tuple(errors), tuple(warnings)), None
 
-    triangle = validate_triangle(setup)
-    errors.extend(triangle.errors)
+    triangle = _Triangle(setup)
+    errors.extend(_triangle_issues(setup, triangle))
     if errors:
-        return SetupReport(tuple(errors), tuple(warnings))
+        return SetupReport(tuple(errors), tuple(warnings)), None
 
-    complete, _ = _enumerate_ordered(setup)
+    complete, _ = triangle.histories
     utility_errors, has_ties = _utility_issues(setup, complete)
     errors.extend(utility_errors)
-    return SetupReport(tuple(errors), tuple(warnings), has_ties)
+    report = SetupReport(tuple(errors), tuple(warnings), has_ties)
+    return report, (triangle if report.ok else None)
+
+
+def validate_setup(setup: SpacetimeSetup) -> SetupReport:
+    """Full validation: structure, contingency triangle, utility totality."""
+    return _check(setup)[0]
 
 
 def spacelike_agent_check(setup: SpacetimeSetup) -> bool:
@@ -435,59 +429,36 @@ def build_game(setup: SpacetimeSetup) -> Game:
     outcomes the complete histories, both identified by their serialized
     keys; the cell of a node is the pending decision point. The root is
     the empty history, and the result is canonical by construction since
-    all nodes of a cell have equal length.
+    all nodes of a cell have equal length. The setup is validated once,
+    and an invalid one raises :class:`SetupError`.
     """
-    report = validate_setup(setup)
-    if not report.ok:
-        details = "; ".join(issue.message for issue in report.errors[:5])
-        raise ValueError(f"invalid spacetime setup: {details}")
+    report, triangle = _check(setup)
+    if triangle is None:
+        raise SetupError(report)
 
-    order = total_order(setup)
-    complete, incomplete = _enumerate_ordered(setup)
-    n = len(order)
-    if n == 0:
-        # Zero decision points: the empty history is the lone outcome.
-        return Game(
-            players=setup.agents,
-            actions=setup.actions,
-            choice_nodes=(),
-            outcomes=("",),
-            action_map={},
-            player_map={},
-            successor_map={},
-            utility_map={(agent, ""): setup.utilities[""][agent] for agent in setup.agents},
-            infosets={},
-            root="",
-        )
-
-    choice_nodes = tuple(history.key() for history in incomplete)
-    outcomes = tuple(history.key() for history in complete)
+    complete, incomplete = triangle.histories
     action_map: dict[str, tuple[str, ...]] = {}
     player_map: dict[str, str] = {}
     successor_map: dict[tuple[str, str], str] = {}
     cells: dict[str, list[str]] = {}
     for history in incomplete:
-        pending = order[len(history.actions)]
+        pending = triangle.order[len(history)]
         node = history.key()
         action_map[node] = pending.actions
         player_map[node] = pending.agent
         cells.setdefault(pending.id, []).append(node)
         for action in pending.actions:
-            successor_map[(node, action)] = successor_hat(setup, history, action).key()
-    utility_map = {
-        (agent, history.key()): setup.utilities[history.key()][agent]
-        for history in complete
-        for agent in setup.agents
-    }
+            successor_map[(node, action)] = triangle.successor(history, action).key()
+    outcomes = tuple(history.key() for history in complete)
     return Game(
         players=setup.agents,
         actions=setup.actions,
-        choice_nodes=choice_nodes,
+        choice_nodes=tuple(action_map),
         outcomes=outcomes,
         action_map=action_map,
         player_map=player_map,
         successor_map=successor_map,
-        utility_map=utility_map,
+        utility_map={(agent, key): setup.utilities[key][agent] for key in outcomes for agent in setup.agents},
         infosets={pid: tuple(nodes) for pid, nodes in cells.items()},
         root="",
     )

@@ -13,12 +13,10 @@ from itertools import product
 from ptesolver import (
     EMPTY,
     GeneratorParams,
-    History,
     action_toward,
     build_game,
     canonicalize,
     embed_normal_form,
-    enumerate_histories,
     game_has_ties,
     is_canonical,
     naive_solve,
@@ -29,7 +27,6 @@ from ptesolver import (
     random_matrix,
     search_empty_pte,
     solve,
-    successor_hat,
 )
 
 from conftest import FIXTURES, PD_ACTIONS, PD_MATRIX, PD_PLAYERS, all_profiles, entangle, follow_profile
@@ -43,19 +40,15 @@ def _verdict(number: int, description: str, passed: bool) -> None:
 
 def test_criterion_1_spacetime_fixture_reproduction(hexa_setup):
     start = time.monotonic()
-    complete, incomplete = enumerate_histories(hexa_setup)
+    game = build_game(hexa_setup)
     elapsed = time.monotonic() - start
-    ok = (
-        {h.key() for h in complete} == HEXA_COMPLETE
-        and {h.key() for h in incomplete} == HEXA_INCOMPLETE
-        and elapsed < 1.0
-    )
+    ok = set(game.outcomes) == HEXA_COMPLETE and set(game.choice_nodes) == HEXA_INCOMPLETE and elapsed < 1.0
     _verdict(1, f"six-point example yields 14+12 histories exactly ({elapsed:.3f}s)", ok)
 
 
 def test_criterion_2_successor_keeps_prefix(hexa_setup):
-    result = successor_hat(hexa_setup, History(("1", "3", None)), "8")
-    _verdict(2, "successor of (1,3,_) under 8 is (1,3,_,8,_,_)", result.key() == "1,3,_,8,_,_")
+    result = build_game(hexa_setup).successor_map[("1,3,_", "8")]
+    _verdict(2, "successor of (1,3,_) under 8 is (1,3,_,8,_,_)", result == "1,3,_,8,_,_")
 
 
 def test_criterion_3_prisoners_dilemma():

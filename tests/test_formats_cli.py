@@ -218,6 +218,23 @@ class TestCli:
         game = parse_game(json.dumps(doc["game"]))
         assert len(game.outcomes) == 14
 
+    def test_spacetime_build_invalid_setup_lists_every_error(self, tmp_path, capsys):
+        doc = json.loads(open(SETUP_PATH).read())
+        del doc["utilities"]["2,_,5,7,10,11"]
+        doc["utilities"]["1,3,_,7,9,1"] = {"Peter": 1, "Mary": 1, "John": 1, "Helen": 1}
+        path = tmp_path / "invalid_setup.json"
+        path.write_text(json.dumps(doc))
+        assert run(["spacetime-build", "--game-only", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error UNKNOWN_HISTORY: payoffs given for inconsistent history '1,3,_,7,9,1'",
+            "error MISSING_UTILITY: no payoff for agent 'Peter' at history '2,_,5,7,10,11'",
+            "error MISSING_UTILITY: no payoff for agent 'Mary' at history '2,_,5,7,10,11'",
+            "error MISSING_UTILITY: no payoff for agent 'John' at history '2,_,5,7,10,11'",
+            "error MISSING_UTILITY: no payoff for agent 'Helen' at history '2,_,5,7,10,11'",
+        ]
+
     def test_spacetime_build_game_only_pipes_into_solve(self, tmp_path, capsys, monkeypatch):
         assert run(["spacetime-build", "--game-only", SETUP_PATH]) == 0
         game_text = capsys.readouterr().out
@@ -252,3 +269,13 @@ class TestCli:
         bad.write_text("{not json")
         assert run(["validate", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "spacetime-build"])
+    def test_deeply_nested_document_exits_one_without_traceback(self, command, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        assert run([command, str(deep)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")

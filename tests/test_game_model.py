@@ -136,7 +136,7 @@ class TestNavigation:
     def test_descendants_in_hexa_game(self, hexa_setup):
         game = build_game(hexa_setup)
         below = descendants(game, "2,_")
-        outcomes_below = {z for z in below if game.is_outcome(z)}
+        outcomes_below = {z for z in below if z in game.outcomes}
         assert len(outcomes_below) == 8
         assert all(z.startswith("2") for z in outcomes_below)
         assert below - outcomes_below == {"2,_", "2,_,5", "2,_,6", "2,_,5,7", "2,_,6,7", "2,_,5,7,10"}

@@ -1,8 +1,9 @@
-"""Invariant checks in the package must survive ``python -O``."""
+"""Package-wide source checks: invariants survive ``python -O``, and the runtime is stdlib-only."""
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,3 +16,12 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} uses assert at lines {lines}; raise an exception instead"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_imports_only_the_standard_library(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0]
+    outside = sorted({name for name in modules if name.split(".")[0] not in sys.stdlib_module_names})
+    assert not outside, f"{path.name} imports {outside}; the runtime must need only the standard library"

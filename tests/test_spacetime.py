@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -11,23 +17,19 @@ from ptesolver import (
     TIMELIKE,
     DecisionPoint,
     History,
+    SetupError,
     SpacetimeSetup,
     build_game,
     causal_dag,
     embed_normal_form,
-    enumerate_histories,
     has_perfect_recall,
     is_canonical,
-    matches,
     random_setup,
     separation,
     spacelike_agent_check,
-    successor_hat,
     total_order,
-    triangle_rows,
     validate_game,
     validate_setup,
-    validate_triangle,
 )
 
 # The six-point example: histories the build must reproduce exactly.
@@ -80,6 +82,21 @@ def two_point_setup(**overrides) -> SpacetimeSetup:
     )
     fields.update(overrides)
     return SpacetimeSetup(**fields)
+
+
+def built_histories(setup: SpacetimeSetup) -> tuple[set[History], set[History]]:
+    """(complete, incomplete) histories of the built game, read off its node ids."""
+    game = build_game(setup)
+    return {History.from_key(z) for z in game.outcomes}, {History.from_key(n) for n in game.choice_nodes}
+
+
+def contingency_rows(setup: SpacetimeSetup) -> list[tuple[str | None, ...]]:
+    """Row k: the action the contingency requires at each point before the k-th, or None."""
+    order = total_order(setup)
+    return [
+        tuple(setup.contingency.get(point.id, {}).get(earlier.id) for earlier in order[:k])
+        for k, point in enumerate(order)
+    ]
 
 
 class TestSeparation:
@@ -162,9 +179,9 @@ class TestOrdering:
 
 class TestTriangle:
     def test_hexa_triangle_valid(self, hexa_setup):
-        assert validate_triangle(hexa_setup).ok
-        rows = triangle_rows(hexa_setup)
-        assert rows[5] == ("2", None, "5", "7", "10")
+        assert validate_setup(hexa_setup).ok
+        # Row f requires (2, _, 5, 7, 10), so f decides at exactly that history.
+        assert build_game(hexa_setup).infosets["f"] == ("2,_,5,7,10",)
 
     def test_assigning_b_in_row_f_is_inconsistent(self, hexa_setup):
         contingency = {pid: dict(row) for pid, row in hexa_setup.contingency.items()}
@@ -177,15 +194,15 @@ class TestTriangle:
             contingency,
             hexa_setup.utilities,
         )
-        codes = {i.code for i in validate_triangle(broken).errors}
+        codes = {i.code for i in validate_setup(broken).errors}
         assert "INCONSISTENT_ROW" in codes
 
     def test_empty_triangle_over_spacelike_points(self):
-        assert validate_triangle(two_point_setup()).ok
+        assert validate_setup(two_point_setup()).ok
 
     def test_action_for_non_predecessor(self):
         setup = two_point_setup(contingency={"q": {"p": "x"}})
-        codes = {i.code for i in validate_triangle(setup).errors}
+        codes = {i.code for i in validate_setup(setup).errors}
         assert "NOT_CAUSAL" in codes
 
     def test_missing_forced_entry(self):
@@ -196,7 +213,7 @@ class TestTriangle:
             ),
             contingency={},
         )
-        codes = {i.code for i in validate_triangle(setup).errors}
+        codes = {i.code for i in validate_setup(setup).errors}
         assert "MISSING_CONTINGENCY" in codes
 
     def test_unavailable_contingent_action(self):
@@ -207,34 +224,34 @@ class TestTriangle:
             ),
             contingency={"q": {"p": "y"}},
         )
-        codes = {i.code for i in validate_triangle(setup).errors}
+        codes = {i.code for i in validate_setup(setup).errors}
         assert "BAD_CONTINGENT_ACTION" in codes
 
     def test_row_for_later_point(self):
         setup = two_point_setup(contingency={"p": {"q": "x"}})
-        codes = {i.code for i in validate_triangle(setup).errors}
+        codes = {i.code for i in validate_setup(setup).errors}
         assert "NOT_EARLIER" in codes
 
 
 class TestMatches:
+    """A point decides at a prefix iff the prefix meets its contingency row."""
+
     def test_empty_prefix_always_matches_first_point(self, hexa_setup):
-        assert matches(hexa_setup, History(()), 0)
+        assert "" in build_game(hexa_setup).infosets["a"]
 
     def test_row_f_positive(self, hexa_setup):
-        assert matches(hexa_setup, History(("2", None, "5", "7", "10")), 5)
+        assert "2,_,5,7,10" in build_game(hexa_setup).infosets["f"]
 
     def test_row_f_negative_on_position_a(self, hexa_setup):
-        assert not matches(hexa_setup, History(("1", "3", None, "7", "10")), 5)
-
-    def test_length_mismatch(self, hexa_setup):
-        with pytest.raises(ValueError):
-            matches(hexa_setup, History(("2",)), 5)
+        game = build_game(hexa_setup)
+        assert "1,3,_,7,10" not in game.choice_nodes
+        assert game.successor_map[("1,3,_,7", "10")] == "1,3,_,7,10,_"
 
 
 def naive_histories(setup: SpacetimeSetup):
     """Filter-based re-derivation of the consistent histories."""
     order = total_order(setup)
-    rows = triangle_rows(setup)
+    rows = contingency_rows(setup)
     n = len(order)
 
     def prefix_ok(assignment) -> bool:
@@ -263,11 +280,11 @@ def naive_histories(setup: SpacetimeSetup):
 
 class TestHistories:
     def test_hexa_complete_histories(self, hexa_setup):
-        complete, _ = enumerate_histories(hexa_setup)
+        complete, _ = built_histories(hexa_setup)
         assert {h.key() for h in complete} == HEXA_COMPLETE
 
     def test_hexa_incomplete_histories(self, hexa_setup):
-        _, incomplete = enumerate_histories(hexa_setup)
+        _, incomplete = built_histories(hexa_setup)
         assert {h.key() for h in incomplete} == HEXA_INCOMPLETE
 
     def test_single_point(self):
@@ -276,13 +293,13 @@ class TestHistories:
             points=(DecisionPoint("p", "A", (Fraction(0), Fraction(0)), ("x", "y")),),
             utilities={"x": {"A": 1}, "y": {"A": 2}},
         )
-        complete, incomplete = enumerate_histories(setup)
+        complete, incomplete = built_histories(setup)
         assert {h.key() for h in complete} == {"x", "y"}
         assert {h.key() for h in incomplete} == {""}
 
     def test_prefixes_of_consistent_histories_are_consistent(self, hexa_setup):
-        complete, incomplete = enumerate_histories(hexa_setup)
-        rows = triangle_rows(hexa_setup)
+        complete, incomplete = built_histories(hexa_setup)
+        rows = contingency_rows(hexa_setup)
         for history in complete | incomplete:
             for m, value in enumerate(history.actions):
                 prefix = history.actions[:m]
@@ -290,45 +307,40 @@ class TestHistories:
                 assert matched == (value is not None)
 
     def test_matches_naive_enumeration(self, hexa_setup):
-        assert naive_histories(hexa_setup) == tuple(map(set, enumerate_histories(hexa_setup)))
+        assert naive_histories(hexa_setup) == built_histories(hexa_setup)
         for seed in range(80):
             setup = random_setup(seed, max_points=6, max_outcomes=64)
-            assert naive_histories(setup) == tuple(map(set, enumerate_histories(setup)))
+            assert naive_histories(setup) == built_histories(setup)
 
     def test_history_key_round_trip(self, hexa_setup):
-        complete, incomplete = enumerate_histories(hexa_setup)
+        complete, incomplete = built_histories(hexa_setup)
         for history in complete | incomplete:
             assert History.from_key(history.key()) == history
 
 
 class TestSuccessorHat:
+    """The build's successor map: the action, then the forced `_` skips."""
+
     def test_skips_forced_dummies_to_completion(self, hexa_setup):
-        result = successor_hat(hexa_setup, History(("1", "3", None)), "8")
-        assert result.key() == "1,3,_,8,_,_"
+        assert build_game(hexa_setup).successor_map[("1,3,_", "8")] == "1,3,_,8,_,_"
 
     def test_from_empty_history(self, hexa_setup):
-        assert successor_hat(hexa_setup, History(()), "2").key() == "2,_"
+        assert build_game(hexa_setup).successor_map[("", "2")] == "2,_"
 
     def test_completes_without_dummies(self, hexa_setup):
-        result = successor_hat(hexa_setup, History(("2", None, "5", "7", "10")), "11")
-        assert result.key() == "2,_,5,7,10,11"
+        assert build_game(hexa_setup).successor_map[("2,_,5,7,10", "11")] == "2,_,5,7,10,11"
 
     def test_unavailable_action(self, hexa_setup):
-        with pytest.raises(ValueError):
-            successor_hat(hexa_setup, History(()), "11")
+        game = build_game(hexa_setup)
+        assert "11" not in game.action_map[""]
+        assert ("", "11") not in game.successor_map
 
     def test_injective_over_all_inputs(self, hexa_setup):
         for seed in range(40):
-            setup = random_setup(seed)
-            _, incomplete = enumerate_histories(setup)
-            order = total_order(setup)
-            seen = {}
-            for history in incomplete:
-                pending = order[len(history.actions)]
-                for action in pending.actions:
-                    image = successor_hat(setup, history, action)
-                    assert image not in seen
-                    seen[image] = (history, action)
+            game = build_game(random_setup(seed))
+            images = list(game.successor_map.values())
+            assert len(set(images)) == len(images)
+            assert len(images) == sum(len(game.action_map[node]) for node in game.choice_nodes)
 
 
 class TestBuildGame:
@@ -379,6 +391,54 @@ class TestBuildGame:
         embedded = embed_normal_form(matrix, ("A", "B"), (("x", "y"), ("x", "y")))
         assert built == embedded
 
+        for seed in range(60):
+            rng = random.Random(seed)
+            agents = tuple(f"P{k}" for k in range(rng.randint(2, 3)))
+            action_lists = tuple(tuple(f"a{j}" for j in range(rng.randint(1, 3))) for _ in agents)
+            profiles = list(product(*action_lists))
+            # Tie-free: each agent's payoffs are a permutation of 1..|Z|.
+            columns = [rng.sample(range(1, len(profiles) + 1), len(profiles)) for _ in agents]
+            matrix = {profile: tuple(column[i] for column in columns) for i, profile in enumerate(profiles)}
+            setup = SpacetimeSetup(
+                dimension=2,
+                agents=agents,
+                actions=tuple(f"a{j}" for j in range(max(map(len, action_lists)))),
+                points=tuple(
+                    DecisionPoint(agent, agent, (Fraction(10 * k), Fraction(0)), actions)
+                    for k, (agent, actions) in enumerate(zip(agents, action_lists))
+                ),
+                contingency={},
+                utilities={",".join(profile): dict(zip(agents, map(Fraction, payoffs))) for profile, payoffs in matrix.items()},
+            )
+            built = build_game(setup)
+            embedded = embed_normal_form(matrix, agents, action_lists)
+            # The build lists choice nodes in preorder and the embedding level
+            # by level; from three points on only that declaration order differs.
+            assert sorted(built.choice_nodes) == sorted(embedded.choice_nodes)
+            assert built == replace(embedded, choice_nodes=built.choice_nodes)
+            if len(agents) == 2:
+                assert built == embedded
+
+    def test_long_chain_builds_under_a_low_recursion_limit(self):
+        tests = Path(__file__).parent
+        script = (
+            "import sys\n"
+            "from conftest import timelike_chain_setup\n"
+            "from ptesolver import build_game\n"
+            "sys.setrecursionlimit(100)\n"
+            "print(len(build_game(timelike_chain_setup(150, 1)).outcomes))\n"
+        )
+        paths = [str(tests.parent / "src"), str(tests)]
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.strip() == "151"
+
     def test_random_setups_build_canonical_games(self):
         for seed in range(60):
             game = build_game(random_setup(seed))
@@ -396,8 +456,12 @@ class TestBuildGame:
         )
         report = validate_setup(stripped)
         assert "MISSING_UTILITY" in {i.code for i in report.errors}
-        with pytest.raises(ValueError):
+        with pytest.raises(SetupError) as caught:
             build_game(stripped)
+        assert isinstance(caught.value, ValueError)
+        assert caught.value.report == report
+        details = "; ".join(issue.message for issue in report.errors[:5])
+        assert str(caught.value) == f"invalid spacetime setup: {details}"
 
     def test_unknown_history_in_utilities(self, hexa_setup):
         extra = dict(hexa_setup.utilities)
@@ -427,7 +491,7 @@ class TestSpacelikeAgentCheck:
         game = build_game(chain_setup)
         assert has_perfect_recall(game)
         # Same triangle, same order, so the histories do not change.
-        complete, incomplete = enumerate_histories(chain_setup)
+        complete, incomplete = built_histories(chain_setup)
         assert {h.key() for h in complete} == HEXA_COMPLETE
         assert {h.key() for h in incomplete} == HEXA_INCOMPLETE
 
