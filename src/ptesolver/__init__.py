@@ -11,15 +11,11 @@ from .game import (
     Game,
     ValidationIssue,
     ValidationReport,
-    action_toward,
     canonicalize,
-    descendants,
     embed_normal_form,
     game_has_ties,
     has_perfect_recall,
-    infoset_successors,
     is_canonical,
-    successor,
     validate_game,
 )
 from .solver import (

@@ -8,7 +8,11 @@ compares them, and ties are detected by exact equality.
 
 Everything here is a pure function over an immutable :class:`Game`;
 nothing mutates a game after construction, so games can be shared freely
-across concurrent solver runs.
+across concurrent solver runs. Ancestry questions are answered from one
+preorder walk of the tree per call, in which every subtree is a range of
+positions: validation reads reachability, canonical form and perfect
+recall off a single walk, and ``solve`` its canonical check and outcome
+masks. Only ``canonicalize``'s rewrite step still collects subtrees.
 """
 
 from __future__ import annotations
@@ -80,93 +84,61 @@ class ValidationReport:
         return not self.errors
 
 
-def _elements(game: Game) -> set[str]:
-    return set(game.choice_nodes) | set(game.outcomes)
-
-
-def _children(game: Game, element: str) -> list[str]:
-    if element not in game.player_map:
-        return []
-    return [
-        game.successor_map[(element, a)]
-        for a in game.action_map.get(element, ())
-        if (element, a) in game.successor_map
-    ]
-
-
-def _parent_index(game: Game) -> dict[str, tuple[str, str]]:
-    """child -> (parent node, action). Assumes a structurally valid game."""
-    parents: dict[str, tuple[str, str]] = {}
-    for (node, action), child in game.successor_map.items():
-        parents[child] = (node, action)
-    return parents
-
-
-def _root_path(parents: Mapping[str, tuple[str, str]], element: str) -> list[tuple[str, str]]:
-    """(node, action) pairs from the root down to ``element``, exclusive."""
-    path: list[tuple[str, str]] = []
-    current = element
-    while current in parents:
-        node, action = parents[current]
-        path.append((node, action))
-        current = node
-    path.reverse()
-    return path
-
-
-def descendants(game: Game, start: str) -> frozenset[str]:
+def _descendants(game: Game, start: str) -> set[str]:
     """All nodes and outcomes in the subtree rooted at ``start``, itself included."""
-    if start not in _elements(game):
-        raise KeyError(f"unknown node or outcome: {start!r}")
     seen: set[str] = set()
     stack = [start]
     while stack:
         element = stack.pop()
-        if element in seen:
-            continue
-        seen.add(element)
-        stack.extend(_children(game, element))
-    return frozenset(seen)
+        if element not in seen:
+            seen.add(element)
+            stack.extend(game.successor_map[(element, a)] for a in game.action_map.get(element, ()))
+    return seen
 
 
-def successor(game: Game, node: str, action: str) -> str:
-    """The child reached by taking ``action`` at ``node``."""
-    if node not in game.player_map:
-        raise KeyError(f"unknown choice node: {node!r}")
-    if action not in game.action_map[node]:
-        raise ValueError(f"action {action!r} is not available at node {node!r}")
-    return game.successor_map[(node, action)]
+@dataclass(frozen=True)
+class _Walk:
+    """The tree from the root in preorder, children in action order.
 
-
-def infoset_successors(game: Game, cell: str, action: str) -> frozenset[str]:
-    """Children of every member of ``cell`` under one shared action."""
-    members = game.infosets[cell]
-    if action not in game.cell_actions(cell):
-        raise ValueError(f"action {action!r} is not available at information set {cell!r}")
-    return frozenset(successor(game, node, action) for node in members)
-
-
-def action_toward(game: Game, source: str, target: str) -> str:
-    """The action at ``source`` whose subtree contains ``target``.
-
-    ``source`` may be a choice node or a cell label. For a cell the game
-    must be canonical, so that at most one member is a strict ancestor of
-    ``target``; the action is then taken at that member.
+    ``order[i]`` is the element at position ``i``, ``pos`` the inverse, and
+    its subtree fills positions ``i`` to ``end[i] - 1``: ``x`` is a strict
+    descendant of ``y`` iff ``pos[y] < pos[x] < end[pos[y]]``. ``parent``
+    maps all but the root to their (node, action) edge. If the successor
+    map is not a tree, the first element reached twice is ``revisited``.
     """
-    if source in game.player_map:
-        for action in game.action_map[source]:
-            if target in descendants(game, game.successor_map[(source, action)]):
-                return action
-        raise ValueError(f"{target!r} is not a strict descendant of node {source!r}")
-    if source in game.infosets:
-        for member in game.infosets[source]:
-            if target != member and target in descendants(game, member):
-                return action_toward(game, member, target)
-        raise ValueError(f"no member of information set {source!r} is an ancestor of {target!r}")
-    raise KeyError(f"unknown node or information set: {source!r}")
+
+    order: list[str]
+    pos: dict[str, int]
+    end: list[int]
+    parent: dict[str, tuple[str, str]]
+    revisited: str | None
 
 
-def _structural_issues(game: Game) -> list[ValidationIssue]:
+def _walk(game: Game) -> _Walk:
+    order: list[str] = []
+    pos: dict[str, int] = {}
+    parent: dict[str, tuple[str, str]] = {}
+    revisited = None
+    stack: list[tuple[str, tuple[str, str] | None]] = [(game.root, None)]
+    while stack:
+        element, via = stack.pop()
+        if element in pos:
+            revisited = element if revisited is None else revisited
+            continue
+        pos[element] = len(order)
+        order.append(element)
+        if via is not None:
+            parent[element] = via
+        edges = [(element, a) for a in game.action_map.get(element, ()) if (element, a) in game.successor_map]
+        stack.extend((game.successor_map[edge], edge) for edge in reversed(edges))
+    end = list(range(1, len(order) + 1))
+    for i in range(len(order) - 1, 0, -1):
+        up = pos[parent[order[i]][0]]
+        end[up] = max(end[up], end[i])
+    return _Walk(order, pos, end, parent, revisited)
+
+
+def _structural_issues(game: Game, walk: _Walk) -> list[ValidationIssue]:
     issues: list[ValidationIssue] = []
 
     def err(code: str, message: str, ids: Iterable[str] = ()) -> None:
@@ -238,15 +210,7 @@ def _structural_issues(game: Game) -> list[ValidationIssue]:
                 sorted(parentless.symmetric_difference({game.root})),
             )
         else:
-            reachable: set[str] = set()
-            stack = [game.root]
-            while stack:
-                element = stack.pop()
-                if element in reachable:
-                    continue
-                reachable.add(element)
-                stack.extend(_children(game, element))
-            unreachable = elements - reachable
+            unreachable = elements - walk.pos.keys()
             if unreachable:
                 err("FOREST", "nodes or outcomes unreachable from the root", sorted(unreachable))
 
@@ -300,33 +264,32 @@ def game_has_ties(game: Game) -> bool:
     return False
 
 
-def _canonical_violation(game: Game) -> tuple[str, str, str] | None:
-    """First (cell, ancestor, descendant) with both ends in one cell, preorder."""
-    cell_by_node: dict[str, str] = {}
+def _canonical_violation(game: Game, walk: _Walk) -> tuple[str, str, str] | None:
+    """First (cell, ancestor, descendant) with both ends in one cell.
+
+    The ancestor is the first such node in preorder, the descendant its
+    first same-cell descendant in cell order. Sorted by position, a cell
+    member has a same-cell descendant iff the next member is in its subtree.
+    """
+    pos, end = walk.pos, walk.end
+    first: tuple[int, str] | None = None
     for label, members in game.infosets.items():
-        for node in members:
-            cell_by_node[node] = label
-    order: list[str] = []
-    seen: set[str] = set()
-    stack = [game.root]
-    while stack:
-        element = stack.pop()
-        if element in game.player_map and element not in seen:
-            seen.add(element)
-            order.append(element)
-            stack.extend(reversed(_children(game, element)))
-    for node in order:
-        cell = cell_by_node[node]
-        below = descendants(game, node)
-        for other in game.infosets[cell]:
-            if other != node and other in below:
-                return cell, node, other
-    return None
+        spots = sorted(pos[node] for node in members if node in pos)
+        for here, after in zip(spots, spots[1:]):
+            if here < after < end[here]:
+                if first is None or here < first[0]:
+                    first = (here, label)
+                break
+    if first is None:
+        return None
+    here, label = first
+    below = next(node for node in game.infosets[label] if here < pos.get(node, -1) < end[here])
+    return label, walk.order[here], below
 
 
 def is_canonical(game: Game) -> bool:
     """True iff no cell contains a node together with a strict descendant."""
-    return _canonical_violation(game) is None
+    return _canonical_violation(game, _walk(game)) is None
 
 
 def canonicalize(game: Game) -> Game:
@@ -340,21 +303,21 @@ def canonicalize(game: Game) -> Game:
     """
     current = game
     while True:
-        violation = _canonical_violation(current)
+        walk = _walk(current)
+        violation = _canonical_violation(current, walk)
         if violation is None:
             return current
         _, ancestor, node = violation
         kept_action = None
         for action in current.action_map[ancestor]:
-            if node in descendants(current, current.successor_map[(ancestor, action)]):
+            if node in _descendants(current, current.successor_map[(ancestor, action)]):
                 kept_action = action
                 break
         if kept_action is None:
             raise RuntimeError(f"no action at {ancestor!r} leads to its same-cell descendant {node!r}")
         keep = current.successor_map[(node, kept_action)]
-        dead = set(descendants(current, node)) - set(descendants(current, keep))
-        parents = _parent_index(current)
-        parent_node, parent_action = parents[node]
+        dead = _descendants(current, node) - _descendants(current, keep)
+        parent_node, parent_action = walk.parent[node]
 
         new_successors: dict[tuple[str, str], str] = {}
         for (n, a), child in current.successor_map.items():
@@ -396,29 +359,27 @@ def has_perfect_recall(game: Game) -> bool:
     different own past moves would be able to distinguish, which is a
     recall failure.
     """
-    parents = _parent_index(game)
-    cell_by_node: dict[str, str] = {}
-    for label, members in game.infosets.items():
-        for node in members:
-            cell_by_node[node] = label
+    return _recalls(game, _walk(game))
 
-    def experience(node: str, player: str) -> tuple[tuple[str, str], ...]:
-        return tuple(
-            (cell_by_node[h], action)
-            for h, action in _root_path(parents, node)
-            if game.player_map[h] == player
-        )
 
-    for label, members in game.infosets.items():
-        if len(members) < 2:
-            continue
-        player = game.cell_player(label)
-        # A same-cell ancestor also fails here: the descendant's own
-        # experience strictly extends the ancestor's.
-        sequences = {experience(node, player) for node in members}
-        if len(sequences) > 1:
-            return False
-    return True
+def _recalls(game: Game, walk: _Walk) -> bool:
+    cell_of = {node: label for label, members in game.infosets.items() for node in members}
+    # Each player's experience, the (cell, action) pairs of their own moves
+    # on the root path, carried down as an id: equal ids, equal experiences.
+    ids: dict[tuple[int, str, str], int] = {}
+    experience: dict[str, dict[str, int]] = {game.root: {}}
+    for element in walk.order[1:]:
+        if element in game.player_map:
+            node, action = walk.parent[element]
+            player = game.player_map[node]
+            mine = ids.setdefault((experience[node].get(player, 0), cell_of[node], action), len(ids) + 1)
+            experience[element] = {**experience[node], player: mine}
+    # A same-cell ancestor also fails here: the descendant's own experience
+    # strictly extends the ancestor's.
+    return all(
+        len({experience[node].get(game.cell_player(label), 0) for node in members}) == 1
+        for label, members in game.infosets.items()
+    )
 
 
 def validate_game(game: Game) -> ValidationReport:
@@ -426,9 +387,11 @@ def validate_game(game: Game) -> ValidationReport:
 
     Violations are report entries, never exceptions; the flags
     (canonical form, perfect recall, ties) are computed only when the
-    structure is sound enough to make them meaningful.
+    structure is sound enough to make them meaningful. One walk from the
+    root serves the reachability check and both flags.
     """
-    errors = _structural_issues(game)
+    walk = _walk(game)
+    errors = _structural_issues(game, walk)
     warnings: list[ValidationIssue] = []
     for node in game.choice_nodes:
         if node in game.action_map and not game.action_map[node]:
@@ -439,8 +402,8 @@ def validate_game(game: Game) -> ValidationReport:
     return ValidationReport(
         errors=tuple(errors),
         warnings=tuple(warnings),
-        is_canonical=is_canonical(game) if structurally_ok else False,
-        has_perfect_recall=has_perfect_recall(game) if structurally_ok else False,
+        is_canonical=structurally_ok and _canonical_violation(game, walk) is None,
+        has_perfect_recall=structurally_ok and _recalls(game, walk),
         has_ties=game_has_ties(game),
     )
 

@@ -10,10 +10,11 @@ that is reached no matter what. The surviving set shrinks until nothing
 more can be discarded; with tie-free payoffs the fixpoint is a singleton
 or empty, never larger.
 
-The game is compiled once per call into integer bitmasks in payoff-rank
-space. Each player sorts the outcomes by their own payoff (ties in
-declaration order), so bit ``r`` of one of their masks stands for their
-``r``-th worst outcome and ``first[r]`` is the first rank paying the same.
+The game is walked once per call; the walk serves the canonical-form
+check and is compiled into integer bitmasks in payoff-rank space. Each
+player sorts the outcomes by their own payoff (ties in declaration
+order), so bit ``r`` of one of their masks stands for their ``r``-th
+worst outcome and ``first[r]`` is the first rank paying the same.
 A cell keeps the mask of outcomes below its members, and each action the
 mask below the members' children under it, both in the cell player's
 ranks; each player keeps a live mask of the survivors. A step is then the
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping
 
-from .game import Game, _canonical_violation, game_has_ties
+from .game import Game, _canonical_violation, _walk, _Walk, game_has_ties
 
 UNIQUE = "unique"
 EMPTY = "empty"
@@ -102,28 +103,18 @@ class _Cell:
 
 
 class _Index:
-    """The game compiled for one solve: ranks, cell masks, action masks."""
+    """The game compiled for one solve from its preorder walk: ranks, cell masks, action masks."""
 
-    def __init__(self, game: Game) -> None:
+    def __init__(self, game: Game, walk: _Walk) -> None:
+        if walk.revisited is not None:
+            raise ValueError(f"{walk.revisited!r} is reached twice from the root; the game is not a tree")
         self.game = game
-        order: list[str] = []
-        seen: set[str] = set()
-        stack = [game.root]
-        while stack:
-            element = stack.pop()
-            if element in seen:
-                raise ValueError(f"{element!r} is reached twice from the root; the game is not a tree")
-            seen.add(element)
-            order.append(element)
-            if element in game.player_map:
-                stack.extend(game.successor_map[(element, a)] for a in game.action_map[element])
-
         cell_players = {label: game.cell_player(label) for label in game.infosets}
         self.ranks = {player: _Ranks(game, player) for player in dict.fromkeys(cell_players.values())}
         below: dict[str, dict[str, int]] = {}
         for player, ranks in self.ranks.items():
             masks: dict[str, int] = {}
-            for element in reversed(order):
+            for element in reversed(walk.order):
                 if element in game.player_map:
                     mask = 0
                     for a in game.action_map[element]:
@@ -203,7 +194,7 @@ def reached_infosets(game: Game, surviving: frozenset[str]) -> frozenset[str]:
     """Cells the play is certain to cross: every survivor sits below them."""
     if not surviving:
         raise ValueError("the surviving set must be nonempty")
-    index = _Index(game)
+    index = _Index(game, _walk(game))
     return frozenset(cell.label for cell in _reached(index, index.live(surviving)))
 
 
@@ -214,7 +205,7 @@ def maximin(game: Game, surviving: frozenset[str], cell: str) -> tuple[Fraction,
     each is valued by its worst surviving payoff. Ties between actions
     break toward the cell's action declaration order.
     """
-    index = _Index(game)
+    index = _Index(game, _walk(game))
     compiled = index.cells[cell]
     worst, action, _ = _maximin(index.live(surviving), compiled)
     return compiled.ranks.values[worst], action
@@ -222,7 +213,7 @@ def maximin(game: Game, surviving: frozenset[str], cell: str) -> tuple[Fraction,
 
 def preempted(game: Game, surviving: frozenset[str], reached: frozenset[str]) -> frozenset[str]:
     """Outcomes paying some player less than a reached-cell guarantee."""
-    index = _Index(game)
+    index = _Index(game, _walk(game))
     cells = [cell for cell in index.cells.values() if cell.label in reached]
     _, by = _step(index, index.live(surviving), cells)
     return frozenset(by)
@@ -235,7 +226,8 @@ def solve(game: Game) -> SolveResult:
     union over all players and reached cells. Terminates after at most
     one step per outcome, since every non-final step removes something.
     """
-    violation = _canonical_violation(game)
+    walk = _walk(game)
+    violation = _canonical_violation(game, walk)
     if violation is not None:
         cell, ancestor, node = violation
         raise NotCanonicalError(
@@ -243,7 +235,7 @@ def solve(game: Game) -> SolveResult:
             "canonicalize the game first"
         )
     has_ties = game_has_ties(game)
-    index = _Index(game)
+    index = _Index(game, walk)
     live = index.live(game.outcomes)
     surviving = frozenset(game.outcomes)
     steps: list[SolverState] = []

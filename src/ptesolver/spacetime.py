@@ -378,6 +378,8 @@ def _check(setup: SpacetimeSetup) -> tuple[SetupReport, _Triangle | None]:
             )
         if not point.actions:
             errors.append(ValidationIssue("NO_ACTIONS", f"point {point.id!r} offers no actions", (point.id,)))
+        if len(set(point.actions)) != len(point.actions):
+            errors.append(ValidationIssue("DUPLICATE_ACTION", f"point {point.id!r} lists an action twice", (point.id,)))
         for action in point.actions:
             if action not in action_set:
                 errors.append(

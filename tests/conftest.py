@@ -147,6 +147,26 @@ def random_tree_game(seed: int, **overrides) -> Game:
     return random_game(GeneratorParams(**params))
 
 
+def root_paths(game: Game) -> dict[str, tuple[tuple[str, str], ...]]:
+    """Element -> the (node, action) pairs from the root down to it."""
+    paths: dict[str, tuple[tuple[str, str], ...]] = {game.root: ()}
+    stack = [game.root]
+    while stack:
+        element = stack.pop()
+        for action in game.action_map.get(element, ()):
+            child = game.successor_map[(element, action)]
+            paths[child] = paths[element] + ((element, action),)
+            stack.append(child)
+    return paths
+
+
+def actions_taken(game: Game) -> dict[str, dict[str, str]]:
+    """Outcome -> {cell: the action its root path takes at a member of that cell}."""
+    cell_of = {n: label for label, members in game.infosets.items() for n in members}
+    paths = root_paths(game)
+    return {z: {cell_of[node]: action for node, action in paths[z]} for z in game.outcomes}
+
+
 def follow_profile(game: Game, profile: dict[str, str]) -> str:
     """Outcome reached from the root under one action per cell."""
     cell_of = {n: label for label, members in game.infosets.items() for n in members}

@@ -13,7 +13,6 @@ from itertools import product
 from ptesolver import (
     EMPTY,
     GeneratorParams,
-    action_toward,
     build_game,
     canonicalize,
     embed_normal_form,
@@ -29,7 +28,16 @@ from ptesolver import (
     solve,
 )
 
-from conftest import FIXTURES, PD_ACTIONS, PD_MATRIX, PD_PLAYERS, all_profiles, entangle, follow_profile
+from conftest import (
+    FIXTURES,
+    PD_ACTIONS,
+    PD_MATRIX,
+    PD_PLAYERS,
+    actions_taken,
+    all_profiles,
+    entangle,
+    follow_profile,
+)
 from test_spacetime import HEXA_COMPLETE, HEXA_INCOMPLETE
 
 
@@ -87,10 +95,11 @@ def test_criterion_4_property_suite():
             (winner,) = result.fixpoint
             if winner not in pareto_frontier(game):
                 failures.append((seed, "fixpoint not Pareto optimal"))
+        taken = actions_taken(game)
         for state in result.steps:
             for z in state.preempted:
                 for _, cell in state.preempted_by[z]:
-                    if state.maximins[cell][1] == action_toward(game, cell, z):
+                    if state.maximins[cell][1] == taken[z][cell]:
                         failures.append((seed, "witness action equals the outcome's own action"))
         if naive_solve(game) != result:
             failures.append((seed, "solver and oracle diverge"))

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,7 @@ from ptesolver import (
     ParseError,
     build_game,
     export_dot,
+    parse_exact,
     parse_game,
     parse_setup,
     random_game,
@@ -279,3 +283,55 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def _with_huge_number(path: str, value: str) -> tuple[dict, str]:
+    """The fixture at ``path`` with its first payoff or coordinate replaced, and that JSON path."""
+    with open(path) as handle:
+        doc = json.load(handle)
+    if "outcomes" in doc:
+        doc["outcomes"][0]["payoffs"]["Row"] = value
+        return doc, "$.outcomes[0].payoffs.Row"
+    doc["points"][0]["coords"][0] = value
+    return doc, "$.points[0].coords[0]"
+
+
+class TestNumberBounds:
+    @pytest.mark.parametrize("value", ["1e5000", "1e10000000", "-2.5e-99999999"])
+    @pytest.mark.parametrize("fixture", [PD_PATH, SETUP_PATH])
+    @pytest.mark.parametrize("command", ["validate", "solve", "spacetime-build"])
+    def test_huge_exponent_is_refused_at_parse_time(self, command, fixture, value, tmp_path, capsys):
+        doc, where = _with_huge_number(fixture, value)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        start = time.monotonic()
+        assert run([command, str(path)]) == 1
+        assert time.monotonic() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        if (command == "spacetime-build") == (fixture == SETUP_PATH):
+            limit = sys.get_int_max_str_digits()
+            assert lines[0] == (
+                f"error: {where}: {'payoff' if fixture == PD_PATH else 'coordinate'}: {value!r} "
+                f"has more than {limit} digits in its numerator or denominator"
+            )
+
+    def test_zero_mantissa_ignores_its_exponent(self):
+        assert parse_exact("0e99999999", "payoff") == 0
+        assert parse_exact("-0.0e-99999999", "payoff") == 0
+
+    def test_round_trip_at_the_digit_limit(self, pd_game, capsys, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        for value in (f"1e{limit - 1}", f"-1e-{limit - 1}", f"1/{2 ** (3 * limit)}"):
+            game = replace(pd_game, utility_map={**pd_game.utility_map, ("Row", "C,c"): parse_exact(value)})
+            path = tmp_path / "game.json"
+            path.write_text(serialize_game(game))
+            assert run(["canonicalize", str(path)]) == 0
+            assert parse_game(capsys.readouterr().out) == game
+        for value in (f"1e{limit}", f"1e-{limit}", f"1.5e{limit}"):
+            with pytest.raises(ValueError, match=f"more than {limit} digits"):
+                parse_exact(value, "payoff")
+        with pytest.raises(ValueError, match="not a valid exact number"):
+            parse_exact("1" + "0" * limit, "payoff")

@@ -1,32 +1,32 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from ptesolver import (
     Game,
-    action_toward,
     build_game,
     canonicalize,
-    descendants,
     embed_normal_form,
     has_perfect_recall,
-    infoset_successors,
     is_canonical,
-    successor,
     validate_game,
 )
+from ptesolver.game import _walk
 
 from conftest import (
     PD_ACTIONS,
     PD_MATRIX,
     PD_PLAYERS,
+    actions_taken,
     all_profiles,
     entangle,
     follow_profile,
     mary_recall_game,
     random_tree_game,
+    root_paths,
 )
 
 
@@ -115,69 +115,88 @@ class TestValidate:
             assert report.is_canonical
 
 
+def subtree(game: Game, start: str) -> set[str]:
+    """``start`` and every element whose root path crosses it."""
+    return {e for e, path in root_paths(game).items() if e == start or any(n == start for n, _ in path)}
+
+
+def cell_children(game: Game, cell: str, action: str) -> set[str]:
+    """Children of every member of ``cell`` under one shared action."""
+    return {game.successor_map[(node, action)] for node in game.infosets[cell]}
+
+
 class TestNavigation:
+    """The tree read off the games' own maps and root paths, and the preorder walk against them."""
+
     def test_descendants_of_outcome_is_itself(self, pd_game):
-        assert descendants(pd_game, "C,c") == {"C,c"}
+        assert subtree(pd_game, "C,c") == {"C,c"}
 
     def test_descendants_of_root_is_everything(self, pd_game):
         everything = set(pd_game.choice_nodes) | set(pd_game.outcomes)
-        assert descendants(pd_game, "") == everything
+        assert subtree(pd_game, "") == everything
 
     def test_descendants_unknown_id(self, pd_game):
-        with pytest.raises(KeyError):
-            descendants(pd_game, "nope")
+        report = validate_game(replace(pd_game, root="nope"))
+        assert [(issue.code, issue.ids) for issue in report.errors] == [("UNKNOWN_ROOT", ("nope",))]
+        assert not report.is_canonical and not report.has_perfect_recall
 
     def test_reflexivity(self):
+        # Each element's preorder interval starts at itself and holds exactly its subtree.
         for seed in range(20):
-            game = random_tree_game(seed)
+            game = entangle(random_tree_game(seed), seed)
+            walk = _walk(game)
+            paths = root_paths(game)
+            assert walk.order[0] == game.root and walk.revisited is None
             for element in game.choice_nodes + game.outcomes:
-                assert element in descendants(game, element)
+                i = walk.pos[element]
+                assert walk.order[i] == element
+                assert set(walk.order[i : walk.end[i]]) == subtree(game, element)
+                if element != game.root:
+                    assert walk.parent[element] == paths[element][-1]
 
     def test_descendants_in_hexa_game(self, hexa_setup):
         game = build_game(hexa_setup)
-        below = descendants(game, "2,_")
+        below = subtree(game, "2,_")
         outcomes_below = {z for z in below if z in game.outcomes}
         assert len(outcomes_below) == 8
         assert all(z.startswith("2") for z in outcomes_below)
         assert below - outcomes_below == {"2,_", "2,_,5", "2,_,6", "2,_,5,7", "2,_,6,7", "2,_,5,7,10"}
 
     def test_successor(self, pd_game):
-        assert successor(pd_game, "", "C") == "C"
-        assert successor(pd_game, "C", "d") == "C,d"
-        with pytest.raises(ValueError):
-            successor(pd_game, "", "d")
+        assert pd_game.successor_map[("", "C")] == "C"
+        assert pd_game.successor_map[("C", "d")] == "C,d"
+        assert ("", "d") not in pd_game.successor_map
 
     def test_successor_in_hexa_game(self, hexa_setup):
         game = build_game(hexa_setup)
-        assert successor(game, "1,3,_", "8") == "1,3,_,8,_,_"
+        assert game.successor_map[("1,3,_", "8")] == "1,3,_,8,_,_"
 
     def test_infoset_successors_singleton(self, pd_game):
-        assert infoset_successors(pd_game, "Row", "C") == {successor(pd_game, "", "C")}
+        assert cell_children(pd_game, "Row", "C") == {pd_game.successor_map[("", "C")]}
 
     def test_infoset_successors_two_node_cell(self, pd_game):
-        children = infoset_successors(pd_game, "Col", "c")
+        children = cell_children(pd_game, "Col", "c")
         assert children == {"C,c", "D,c"}
 
     def test_infoset_successors_in_hexa_game(self, hexa_setup):
         # The cell of point d holds all four length-3 nodes, so action 8
         # fans out to four outcomes, among them the two after 1,3 and 1,4.
         game = build_game(hexa_setup)
-        children = infoset_successors(game, "d", "8")
+        children = cell_children(game, "d", "8")
         assert children == {"1,3,_,8,_,_", "1,4,_,8,_,_", "2,_,5,8,_,_", "2,_,6,8,_,_"}
         assert len(children) == len(game.infosets["d"])
 
     def test_action_toward(self, pd_game):
-        assert action_toward(pd_game, "", "C,c") == "C"
-        assert action_toward(pd_game, "", "D,d") == "D"
-        assert action_toward(pd_game, "", "C") == "C"
-        with pytest.raises(ValueError):
-            action_toward(pd_game, "", "")
+        paths = root_paths(pd_game)
+        assert paths["C,c"][0] == ("", "C")
+        assert paths["D,d"][0] == ("", "D")
+        assert paths["C"] == (("", "C"),)
+        assert paths[""] == ()
 
     def test_action_toward_from_cell(self, hexa_setup):
-        game = build_game(hexa_setup)
-        assert action_toward(game, "f", "2,_,5,7,10,12") == "12"
-        with pytest.raises(ValueError):
-            action_toward(game, "f", "1,3,_,8,_,_")
+        taken = actions_taken(build_game(hexa_setup))
+        assert taken["2,_,5,7,10,12"]["f"] == "12"
+        assert "f" not in taken["1,3,_,8,_,_"]
 
 
 def chain_game() -> Game:

@@ -11,7 +11,6 @@ from ptesolver import (
     UNIQUE,
     Game,
     NotCanonicalError,
-    action_toward,
     build_game,
     embed_normal_form,
     is_canonical,
@@ -21,7 +20,7 @@ from ptesolver import (
     solve,
 )
 
-from conftest import entangle, random_tree_game
+from conftest import actions_taken, entangle, random_tree_game
 
 PD_OUTCOMES = frozenset({"C,c", "C,d", "D,c", "D,d"})
 
@@ -209,7 +208,8 @@ class TestSolve:
         for seed in range(120):
             game = random_tree_game(seed)
             result = solve(game)
+            taken = actions_taken(game)
             for state in result.steps:
                 for z in state.preempted:
                     for _, cell in state.preempted_by[z]:
-                        assert state.maximins[cell][1] != action_toward(game, cell, z)
+                        assert state.maximins[cell][1] != taken[z][cell]

@@ -463,6 +463,18 @@ class TestBuildGame:
         details = "; ".join(issue.message for issue in report.errors[:5])
         assert str(caught.value) == f"invalid spacetime setup: {details}"
 
+    def test_point_listing_an_action_twice_is_refused(self, hexa_setup):
+        # Built, such a point gave two edges per repeated action and duplicate outcome ids.
+        e = hexa_setup.points[4]
+        doubled = replace(e, actions=e.actions + e.actions[-1:])
+        points = tuple(doubled if p.id == "e" else p for p in hexa_setup.points)
+        report = validate_setup(replace(hexa_setup, points=points))
+        assert [(i.code, i.message) for i in report.errors] == [
+            ("DUPLICATE_ACTION", "point 'e' lists an action twice")
+        ]
+        with pytest.raises(SetupError):
+            build_game(replace(hexa_setup, points=points))
+
     def test_unknown_history_in_utilities(self, hexa_setup):
         extra = dict(hexa_setup.utilities)
         extra["1,3,_,7,9,1"] = {a: 1 for a in hexa_setup.agents}
