@@ -15,6 +15,7 @@ import sys
 
 from .formats import (
     ParseError,
+    _indented_json,
     export_dot,
     game_to_jsonable,
     parse_game,
@@ -51,7 +52,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     game = parse_game(_read(args.input))
     report = validate_game(game)
     print(
-        json.dumps(
+        _indented_json(
             {
                 "errors": [
                     {"code": i.code, "message": i.message, "ids": list(i.ids)} for i in report.errors
@@ -62,8 +63,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 "is_canonical": report.is_canonical,
                 "has_perfect_recall": report.has_perfect_recall,
                 "has_ties": report.has_ties,
-            },
-            indent=2,
+            }
         )
     )
     return 0 if report.ok else 1
@@ -82,7 +82,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.quiet:
         print(json.dumps(trace[-1]))
     else:
-        print(json.dumps(trace, indent=2))
+        print(_indented_json(trace))
     return STATUS_EXIT.get(result.status, 0)
 
 
@@ -101,7 +101,7 @@ def _cmd_spacetime_build(args: argparse.Namespace) -> int:
             "total_order": [point.id for point in total_order(setup)],
             "game": game_to_jsonable(game),
         }
-        print(json.dumps(document, indent=2))
+        print(_indented_json(document))
     return 0
 
 

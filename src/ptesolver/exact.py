@@ -17,6 +17,11 @@ from fractions import Fraction
 _EXPONENT_FORM = re.compile(r"\s*[-+]?(?P<int>[\d_]*)(?:\.(?P<dec>[\d_]*))?[eE](?P<exp>[-+]?[\d_]+)\s*")
 
 
+def _echo(text: str) -> str:
+    """``repr(text)`` for an error message, cut to 40 characters and the length past that."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _digit_limit() -> int:
     """The int-to-text digit limit; 0 (none) before Python 3.10.7 added it."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -61,9 +66,12 @@ def parse_exact(value: object, where: str = "number") -> Fraction:
         try:
             number = _fraction(value, limit)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{where}: {value!r} is not a valid exact number") from exc
+            # int() refuses a run of digits past the limit before reading the rest.
+            if not limit or not re.search(rf"\d{{{limit + 1}}}", value.replace("_", "")):
+                raise ValueError(f"{where}: {_echo(value)} is not a valid exact number") from exc
+            number = None
         if number is None or _too_long(abs(number.numerator), limit) or _too_long(number.denominator, limit):
-            raise ValueError(f"{where}: {value!r} has more than {limit} digits in its numerator or denominator")
+            raise ValueError(f"{where}: {_echo(value)} has more than {limit} digits in its numerator or denominator")
         return number
     if isinstance(value, float):
         raise ValueError(

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping
 
-from .exact import format_exact, parse_exact
+from .exact import _digit_limit, format_exact, parse_exact
 from .game import Game
 from .solver import SolveResult
 from .spacetime import DecisionPoint, SpacetimeSetup
@@ -51,6 +52,69 @@ def _require_str_list(value: Any, path: str) -> list[str]:
     return value
 
 
+def _indented_json(value: Any, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for the JSON-native values documents hold.
+
+    CPython's C encoder skips indented output; here strings still go
+    through it, and only the layout is built in Python.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [
+            encode_basestring_ascii(item) if type(item) is str else _indented_json(item, inner) for item in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _indented_json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+class _LongInteger:
+    """Stands in for an integer literal with more digits than ``int`` converts."""
+
+    def __init__(self, literal: str) -> None:
+        self.digits = len(literal.lstrip("-"))
+
+
+def _int_or_long(literal: str) -> int | _LongInteger:
+    try:
+        return int(literal)
+    except ValueError:
+        return _LongInteger(literal)
+
+
+def _long_integer_error(text: str) -> ParseError:
+    """The error for a document holding an over-long integer literal, at its path if it is kept."""
+    try:
+        stack: list[tuple[str, Any]] = [("$", json.loads(text, parse_int=_int_or_long))]
+    except (ValueError, RecursionError):  # malformed after the literal
+        stack = []
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, _LongInteger):
+            return ParseError(f"{path}: integer literal of {value.digits} digits has more than {_digit_limit()} digits")
+        if isinstance(value, dict):
+            stack.extend((f"{path}.{key}", item) for key, item in reversed(value.items()))
+        elif isinstance(value, list):
+            stack.extend((f"{path}[{i}]", item) for i, item in reversed(list(enumerate(value))))
+    return ParseError(f"an integer literal has more than {_digit_limit()} digits")
+
+
 def _loads(text: str) -> Any:
     try:
         return json.loads(text)
@@ -58,6 +122,8 @@ def _loads(text: str) -> Any:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError("document is nested too deeply") from exc
+    except ValueError as exc:  # what else the decoder raises: int() past the digit limit
+        raise _long_integer_error(text) from exc
 
 
 def parse_game(text: str) -> Game:
@@ -166,7 +232,7 @@ def game_to_jsonable(game: Game) -> dict:
 
 
 def serialize_game(game: Game) -> str:
-    return json.dumps(game_to_jsonable(game), indent=2) + "\n"
+    return _indented_json(game_to_jsonable(game)) + "\n"
 
 
 def parse_setup(text: str) -> SpacetimeSetup:
@@ -264,14 +330,16 @@ def setup_to_jsonable(setup: SpacetimeSetup) -> dict:
 
 
 def serialize_setup(setup: SpacetimeSetup) -> str:
-    return json.dumps(setup_to_jsonable(setup), indent=2) + "\n"
+    return _indented_json(setup_to_jsonable(setup)) + "\n"
 
 
 def trace_to_jsonable(game: Game, result: SolveResult) -> list:
     """The full elimination trace: one object per step, then the verdict."""
+    cell_position = {cell: i for i, cell in enumerate(game.infosets)}
+    outcome_position = {z: i for i, z in enumerate(game.outcomes)}
     steps = []
     for state in result.steps:
-        cells = [cell for cell in game.infosets if cell in state.reached]
+        cells = sorted(state.reached, key=cell_position.__getitem__)
         steps.append(
             {
                 "step": state.step,
@@ -292,8 +360,7 @@ def trace_to_jsonable(game: Game, result: SolveResult) -> list:
                         "player": state.preempted_by[z][0][0],
                         "infoset": state.preempted_by[z][0][1],
                     }
-                    for z in game.outcomes
-                    if z in state.preempted
+                    for z in sorted(state.preempted, key=outcome_position.__getitem__)
                 ],
             }
         )

@@ -21,18 +21,23 @@ ranks; each player keeps a live mask of the survivors. A step is then the
 paper's step in a few integer operations per cell:
 
 - the cell is certain to be crossed iff every survivor is below it,
-  ``live & ~cell_mask == 0``;
+  ``live & ~cell_mask == 0``. Such a cell holds an ancestor of every
+  survivor, so only the cells on one survivor's root path are candidates,
+  and a step costs the depth of the tree, not its number of cells;
 - an action's worst surviving payoff is the lowest set bit of
   ``live & action_mask``, and the maximin is the first action in cell
   order whose worst rank (through ``first``) is strictly the best;
 - the survivors paying less than that guarantee are exactly the bits below
-  its first rank, ``live & ((1 << first[worst]) - 1)``.
+  its first rank, ``live & ((1 << first[worst]) - 1)``; their witnesses
+  are ordered over these eliminated outcomes alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Collection, Iterable, Mapping
 
 from .game import Game, _canonical_violation, _walk, _Walk, game_has_ties
@@ -72,16 +77,30 @@ class SolveResult:
     status: str
 
 
+def _exact_key(value: Fraction) -> tuple[float, Fraction]:
+    """A sort key that orders exactly as ``value`` does, comparing floats first.
+
+    ``int / int`` is correctly rounded, hence monotone, so the float never
+    contradicts the exact order, and values that round alike are compared
+    as Fractions. A value beyond the float range takes its sign's infinity.
+    """
+    try:
+        return value.numerator / value.denominator, value
+    except OverflowError:
+        return (math.inf if value > 0 else -math.inf), value
+
+
 class _Ranks:
     """One player's outcomes sorted by payoff; ties keep declaration order."""
 
     def __init__(self, game: Game, player: str) -> None:
-        self.outcomes = sorted(game.outcomes, key=lambda z: game.utility(player, z))
+        keyed = sorted(((_exact_key(game.utility(player, z)), z) for z in game.outcomes), key=itemgetter(0))
+        self.outcomes = [z for _, z in keyed]
         self.rank = {z: r for r, z in enumerate(self.outcomes)}
-        self.values = [game.utility(player, z) for z in self.outcomes]
-        self.first = list(range(len(self.values)))
-        for r in range(1, len(self.values)):
-            if self.values[r] == self.values[r - 1]:
+        self.values = [key[1] for key, _ in keyed]
+        self.first = list(range(len(keyed)))
+        for r in range(1, len(keyed)):
+            if keyed[r][0] == keyed[r - 1][0]:
                 self.first[r] = self.first[r - 1]
 
     def mask(self, outcomes: Iterable[str]) -> int:
@@ -108,7 +127,8 @@ class _Index:
     def __init__(self, game: Game, walk: _Walk) -> None:
         if walk.revisited is not None:
             raise ValueError(f"{walk.revisited!r} is reached twice from the root; the game is not a tree")
-        self.game = game
+        self.parent = walk.parent
+        self.outcome_position = {z: i for i, z in enumerate(game.outcomes)}
         cell_players = {label: game.cell_player(label) for label in game.infosets}
         self.ranks = {player: _Ranks(game, player) for player in dict.fromkeys(cell_players.values())}
         below: dict[str, dict[str, int]] = {}
@@ -125,6 +145,7 @@ class _Index:
             below[player] = masks
 
         self.cells: dict[str, _Cell] = {}
+        self.cells_at: dict[str, list[int]] = {}
         for label, members in game.infosets.items():
             player = cell_players[label]
             masks = below[player]
@@ -133,7 +154,10 @@ class _Index:
                 for a in game.cell_actions(label)
             )
             cell_mask = _union(masks[m] for m in members)
+            for m in members:
+                self.cells_at.setdefault(m, []).append(len(self.cells))
             self.cells[label] = _Cell(label, player, self.ranks[player], cell_mask, actions)
+        self.cell_list = list(self.cells.values())
 
     def live(self, surviving: Collection[str]) -> dict[str, int]:
         """Each cell player's mask of the surviving outcomes."""
@@ -148,7 +172,22 @@ def _union(masks: Iterable[int]) -> int:
 
 
 def _reached(index: _Index, live: Mapping[str, int]) -> list[_Cell]:
-    return [cell for cell in index.cells.values() if not live[cell.player] & ~cell.mask]
+    """The cells every survivor is below, in declaration order.
+
+    Such a cell holds an ancestor of each survivor, so only the cells on
+    the root path of one survivor, the first cell player's worst, are
+    tested. A survivor off the tree has no ancestors, and no cell is reached.
+    """
+    positions: set[int] = set()
+    if index.cell_list:
+        first = index.cell_list[0]
+        pool = live[first.player]
+        element = first.ranks.outcomes[(pool & -pool).bit_length() - 1]
+        while element in index.parent:
+            element = index.parent[element][0]
+            positions.update(index.cells_at.get(element, ()))
+    cells = [index.cell_list[i] for i in sorted(positions)]
+    return [cell for cell in cells if not live[cell.player] & ~cell.mask]
 
 
 def _maximin(live: Mapping[str, int], cell: _Cell) -> tuple[int, str, int]:
@@ -187,7 +226,7 @@ def _step(
             z = cell.ranks.outcomes[low.bit_length() - 1]
             witnesses.setdefault(z, []).append((cell.player, cell.label))
             below ^= low
-    return maximins, {z: tuple(witnesses[z]) for z in index.game.outcomes if z in witnesses}
+    return maximins, {z: tuple(witnesses[z]) for z in sorted(witnesses, key=index.outcome_position.__getitem__)}
 
 
 def reached_infosets(game: Game, surviving: frozenset[str]) -> frozenset[str]:

@@ -318,6 +318,40 @@ class TestNumberBounds:
                 f"has more than {limit} digits in its numerator or denominator"
             )
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize("fixture", [PD_PATH, SETUP_PATH])
+    @pytest.mark.parametrize("command", ["validate", "solve", "spacetime-build"])
+    def test_long_integer_literal_names_its_path_and_the_bound(self, command, fixture, sign, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        digits = limit + 700  # 5000 at the default limit
+        doc, where = _with_huge_number(fixture, "@")
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc).replace('"@"', sign + "7" * digits))
+        assert run([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {where}: integer literal of {digits} digits has more than {limit} digits\n"
+
+    def test_long_integer_literal_under_a_repeated_key_is_still_refused(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "doc.json"
+        with open(PD_PATH) as handle:
+            text = handle.read()
+        path.write_text(text.replace('"root":', f'"root": {"7" * (limit + 1)}, "root":'))
+        assert run(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: an integer literal has more than {limit} digits\n"
+
+    def test_long_digit_string_is_reported_short_and_as_too_long(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        doc, where = _with_huge_number(PD_PATH, "1" * (limit + 700))
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert run(["validate", str(path)]) == 1
+        line = capsys.readouterr().err
+        assert line.startswith(f"error: {where}: payoff: '{'1' * 40}'... ({limit + 700} characters) has more than")
+        assert f"more than {limit} digits" in line
+        assert len(line.encode()) < 200
+
     def test_zero_mantissa_ignores_its_exponent(self):
         assert parse_exact("0e99999999", "payoff") == 0
         assert parse_exact("-0.0e-99999999", "payoff") == 0
@@ -330,8 +364,6 @@ class TestNumberBounds:
             path.write_text(serialize_game(game))
             assert run(["canonicalize", str(path)]) == 0
             assert parse_game(capsys.readouterr().out) == game
-        for value in (f"1e{limit}", f"1e-{limit}", f"1.5e{limit}"):
+        for value in (f"1e{limit}", f"1e-{limit}", f"1.5e{limit}", "1" + "0" * limit):
             with pytest.raises(ValueError, match=f"more than {limit} digits"):
                 parse_exact(value, "payoff")
-        with pytest.raises(ValueError, match="not a valid exact number"):
-            parse_exact("1" + "0" * limit, "payoff")

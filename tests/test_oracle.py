@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -7,8 +9,11 @@ import pytest
 
 from ptesolver import (
     EMPTY,
+    MULTIPLE_WITH_TIES,
     Game,
     GeneratorParams,
+    SolveResult,
+    SolverState,
     build_game,
     canonicalize,
     embed_normal_form,
@@ -88,15 +93,58 @@ class TestNaiveSolve:
         "make",
         [
             lambda: binary_tree_game(8, seed=3),
+            lambda: binary_tree_game(10, seed=3),
             lambda: square_normal_form(24, seed=3),
             lambda: canonicalize(binary_tree_game(8, seed=3, entangled=True)),
             lambda: build_game(timelike_chain_setup(160, seed=3)),
         ],
-        ids=["perfect-tree-depth-8", "normal-form-24x24", "canonicalized-depth-8", "timelike-chain-160"],
+        ids=[
+            "perfect-tree-depth-8",
+            "perfect-tree-depth-10",
+            "normal-form-24x24",
+            "canonicalized-depth-8",
+            "timelike-chain-160",
+        ],
     )
     def test_agrees_at_benchmark_sizes(self, make):
         game = make()
         assert naive_solve(game) == solve(game)
+
+    @pytest.mark.slow
+    def test_agrees_on_a_depth_11_tree(self):
+        game = binary_tree_game(11, seed=1)
+        assert naive_solve(game) == solve(game)
+
+    @pytest.mark.slow
+    def test_depth_12_tree_solves_in_seconds(self):
+        # 4096 outcomes; the oracle would take minutes, so check the steps chain.
+        game = binary_tree_game(12, seed=1)
+        start = time.monotonic()
+        result = solve(game)
+        assert time.monotonic() - start < 4.0
+        surviving = frozenset(game.outcomes)
+        for state in result.steps:
+            assert state.surviving == surviving and state.preempted <= surviving
+            surviving -= state.preempted
+        assert not result.steps[-1].preempted
+        assert result.fixpoint == surviving and len(surviving) <= 1
+
+    @pytest.mark.parametrize("payoff", [-1, 9], ids=["worst", "best"])
+    def test_outcome_off_the_tree_reaches_no_cell(self, pd_game, payoff):
+        # No path leads to the extra outcome, so it is below no cell: no cell
+        # is certain to be crossed and the first step eliminates nothing.
+        game = replace(
+            pd_game,
+            outcomes=pd_game.outcomes + ("off",),
+            utility_map={**pd_game.utility_map, **{(p, "off"): Fraction(payoff) for p in pd_game.players}},
+        )
+        everything = frozenset(game.outcomes)
+        assert solve(game) == SolveResult(
+            fixpoint=everything,
+            steps=(SolverState(0, everything, frozenset(), {}, frozenset(), {}),),
+            has_ties=False,
+            status=MULTIPLE_WITH_TIES,
+        )
 
     def test_cell_members_listing_actions_in_different_orders(self):
         # Col's two nodes list l and r in opposite orders; both actions

@@ -1,23 +1,39 @@
-"""Hypothesis properties of the game layer on generated entangled trees.
+"""Hypothesis properties of the game layer, the solver's rank sort and the JSON writer.
 
 Each generated node may join any earlier cell of the same player and
 action set, an ancestor's included, so the trees cover canonical and
 non-canonical games with and without perfect recall. The preorder-walk
 checks are compared with test-local copies of the quadratic checks they
 replaced, which re-walk a subtree per node and climb a root path per
-cell member.
+cell member. The float-first sort key and the indented writer are
+compared with what they stand in for: the Fraction order and
+``json.dumps(x, indent=2)``.
 """
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptesolver import Game, NotCanonicalError, canonicalize, has_perfect_recall, is_canonical, solve, validate_game
+from ptesolver import (
+    Game,
+    NotCanonicalError,
+    canonicalize,
+    has_perfect_recall,
+    is_canonical,
+    parse_game,
+    serialize_game,
+    solve,
+    validate_game,
+)
+from ptesolver.formats import _indented_json
 from ptesolver.game import _canonical_violation, _walk
+from ptesolver.solver import _exact_key
 
 from conftest import all_profiles, follow_profile
 
@@ -141,3 +157,57 @@ def test_walk_checks_equal_the_quadratic_checks(game):
             f"information set {cell!r} contains node {node!r} and its ancestor {ancestor!r}; "
             "canonicalize the game first"
         )
+
+
+def _near(center: int) -> st.SearchStrategy[Fraction]:
+    """Values within a few units, and within fractions of a unit, of ``center``."""
+    return st.builds(
+        lambda offset, tiny, sign: sign * (center + offset + tiny),
+        st.integers(-3, 3),
+        st.fractions(-1, 1, max_denominator=2**60),
+        st.sampled_from([1, -1]),
+    )
+
+
+exact_values = st.one_of(st.fractions(), _near(2**53), _near(10**400), st.integers(-(10**20), 10**20).map(Fraction))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(exact_values, max_size=30))
+def test_exact_key_sorts_as_the_fractions_do(values):
+    assert sorted(values, key=_exact_key) == sorted(values)
+    for a, b in zip(values, values[1:]):
+        assert (_exact_key(a) < _exact_key(b)) == (a < b)
+        assert (_exact_key(a) == _exact_key(b)) == (a == b)
+
+
+json_text = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(["", "\x00\x1f\"\\/", "é\u2028😀"])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@PROPERTY_SETTINGS
+@given(json_values)
+def test_indented_writer_equals_json_dumps(value):
+    assert _indented_json(value) == json.dumps(value, indent=2)
+
+
+@st.composite
+def documented_games(draw) -> Game:
+    """Entangled games whose cells are listed as a document lists them, with any exact payoffs."""
+    game = draw(entangled_games(max_nodes=7))
+    cell_of = {node: label for label, members in game.infosets.items() for node in members}
+    infosets: dict[str, tuple[str, ...]] = {}
+    for node in game.choice_nodes:
+        infosets[cell_of[node]] = infosets.get(cell_of[node], ()) + (node,)
+    utility_map = {key: draw(exact_values) for key in game.utility_map}
+    return replace(game, infosets=infosets, utility_map=utility_map)
+
+
+@PROPERTY_SETTINGS
+@given(documented_games())
+def test_game_documents_round_trip(game):
+    assert parse_game(serialize_game(game)) == game
