@@ -144,49 +144,53 @@ def parse_game(text: str) -> Game:
     player_map: dict[str, str] = {}
     successor_map: dict[tuple[str, str], str] = {}
     infoset_of: dict[str, str] = {}
-    for i, raw in enumerate(doc["nodes"]):
-        path = f"$.nodes[{i}]"
-        node = _require_object(raw, path, NODE_KEYS)
+    # Checks run in document order, so the first error found is the one
+    # reported; an element's JSON path is spelled out only for an error.
+    for i, node in enumerate(doc["nodes"]):
+        if type(node) is not dict or node.keys() != NODE_KEYS:
+            _require_object(node, f"$.nodes[{i}]", NODE_KEYS)
         for key in ("id", "player", "infoset"):
             if not isinstance(node[key], str):
-                _fail(f"{path}.{key}", "expected a string")
+                _fail(f"$.nodes[{i}].{key}", "expected a string")
         node_id = node["id"]
         if node_id in seen:
-            _fail(f"{path}.id", f"DUPLICATE_ID: {node_id!r} already declared")
+            _fail(f"$.nodes[{i}].id", f"DUPLICATE_ID: {node_id!r} already declared")
         seen.add(node_id)
-        if not isinstance(node["moves"], dict):
-            _fail(f"{path}.moves", "expected an object mapping actions to children")
-        moves: dict[str, str] = {}
-        for action, child in node["moves"].items():
+        moves = node["moves"]
+        if not isinstance(moves, dict):
+            _fail(f"$.nodes[{i}].moves", "expected an object mapping actions to children")
+        for action, child in moves.items():
             if not isinstance(child, str):
-                _fail(f"{path}.moves.{action}", "expected a child identifier string")
-            moves[action] = child
+                _fail(f"$.nodes[{i}].moves.{action}", "expected a child identifier string")
+            successor_map[(node_id, action)] = child
         choice_nodes.append(node_id)
         action_map[node_id] = tuple(moves)
         player_map[node_id] = node["player"]
         infoset_of[node_id] = node["infoset"]
-        for action, child in moves.items():
-            successor_map[(node_id, action)] = child
 
     outcomes: list[str] = []
     utility_map: dict[tuple[str, str], Fraction] = {}
-    for i, raw in enumerate(doc["outcomes"]):
-        path = f"$.outcomes[{i}]"
-        outcome = _require_object(raw, path, OUTCOME_KEYS)
-        if not isinstance(outcome["id"], str):
-            _fail(f"{path}.id", "expected a string")
+    for i, outcome in enumerate(doc["outcomes"]):
+        if type(outcome) is not dict or outcome.keys() != OUTCOME_KEYS:
+            _require_object(outcome, f"$.outcomes[{i}]", OUTCOME_KEYS)
         outcome_id = outcome["id"]
+        if not isinstance(outcome_id, str):
+            _fail(f"$.outcomes[{i}].id", "expected a string")
         if outcome_id in seen:
-            _fail(f"{path}.id", f"DUPLICATE_ID: {outcome_id!r} already declared")
+            _fail(f"$.outcomes[{i}].id", f"DUPLICATE_ID: {outcome_id!r} already declared")
         seen.add(outcome_id)
-        if not isinstance(outcome["payoffs"], dict):
-            _fail(f"{path}.payoffs", "expected an object mapping players to numbers")
+        payoffs = outcome["payoffs"]
+        if not isinstance(payoffs, dict):
+            _fail(f"$.outcomes[{i}].payoffs", "expected an object mapping players to numbers")
         outcomes.append(outcome_id)
-        for player, value in outcome["payoffs"].items():
+        for player, value in payoffs.items():
+            if type(value) is int:
+                utility_map[(player, outcome_id)] = Fraction(value)
+                continue
             try:
                 utility_map[(player, outcome_id)] = parse_exact(value, "payoff")
             except ValueError as exc:
-                raise ParseError(f"{path}.payoffs.{player}: {exc}") from exc
+                raise ParseError(f"$.outcomes[{i}].payoffs.{player}: {exc}") from exc
 
     infosets: dict[str, list[str]] = {}
     for node_id in choice_nodes:

@@ -9,16 +9,20 @@ compares them, and ties are detected by exact equality.
 Everything here is a pure function over an immutable :class:`Game`;
 nothing mutates a game after construction, so games can be shared freely
 across concurrent solver runs. Ancestry questions are answered from one
-preorder walk of the tree per call, in which every subtree is a range of
-positions: validation reads reachability, canonical form and perfect
-recall off a single walk, and ``solve`` its canonical check and outcome
-masks. Only ``canonicalize``'s rewrite step still collects subtrees.
+preorder walk of the tree, in which every subtree is a range of
+positions. The walk, the canonical-form check and the tie flag are
+computed once per ``Game`` object, on first use, and kept with it:
+validation reads reachability, canonical form and perfect recall off
+that walk, and ``solve`` its canonical check and outcome masks, so a
+command that validates and then solves walks the tree once. Only
+``canonicalize``'s rewrite step still collects subtrees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .exact import parse_exact
@@ -62,6 +66,11 @@ class Game:
         """Common action set of a cell, in the first member's order."""
         members = self.infosets[cell]
         return self.action_map[members[0]]
+
+    @cached_property
+    def _tree(self) -> _Tree:
+        """This game's tree index, made on first use and kept with this object only."""
+        return _Tree(self)
 
 
 @dataclass(frozen=True)
@@ -138,7 +147,39 @@ def _walk(game: Game) -> _Walk:
     return _Walk(order, pos, end, parent, revisited)
 
 
-def _structural_issues(game: Game, walk: _Walk) -> list[ValidationIssue]:
+class _Tree:
+    """What every layer reads off a game's tree, derived once per ``Game``.
+
+    The preorder ``walk`` and the first canonical-form ``violation`` are
+    taken when the index is made; the tie flag on first use, since
+    ``canonicalize``'s intermediate games never need it. The index keeps
+    the payoff maps it reads, not the game, so it makes no reference cycle.
+    """
+
+    def __init__(self, game: Game) -> None:
+        self.walk = _walk(game)
+        self.violation = _canonical_violation(game, self.walk)
+        self._payoffs = game.players, game.outcomes, game.utility_map
+
+    @cached_property
+    def has_ties(self) -> bool:
+        players, outcomes, utility_map = self._payoffs
+        for player in players:
+            # Fractions are normalized, so equal values have equal parts;
+            # an int or a pair hashes far faster than a Fraction.
+            seen: set[int | tuple[int, int]] = set()
+            for outcome in outcomes:
+                value = utility_map.get((player, outcome))
+                if value is None:
+                    continue
+                key = value.numerator if value.denominator == 1 else (value.numerator, value.denominator)
+                if key in seen:
+                    return True
+                seen.add(key)
+        return False
+
+
+def _structural_issues(game: Game) -> list[ValidationIssue]:
     issues: list[ValidationIssue] = []
 
     def err(code: str, message: str, ids: Iterable[str] = ()) -> None:
@@ -210,7 +251,7 @@ def _structural_issues(game: Game, walk: _Walk) -> list[ValidationIssue]:
                 sorted(parentless.symmetric_difference({game.root})),
             )
         else:
-            unreachable = elements - walk.pos.keys()
+            unreachable = elements - game._tree.walk.pos.keys()
             if unreachable:
                 err("FOREST", "nodes or outcomes unreachable from the root", sorted(unreachable))
 
@@ -252,16 +293,7 @@ def _structural_issues(game: Game, walk: _Walk) -> list[ValidationIssue]:
 
 def game_has_ties(game: Game) -> bool:
     """True iff some player gets the same payoff at two distinct outcomes."""
-    for player in game.players:
-        seen: set[Fraction] = set()
-        for outcome in game.outcomes:
-            value = game.utility_map.get((player, outcome))
-            if value is None:
-                continue
-            if value in seen:
-                return True
-            seen.add(value)
-    return False
+    return game._tree.has_ties
 
 
 def _canonical_violation(game: Game, walk: _Walk) -> tuple[str, str, str] | None:
@@ -289,7 +321,7 @@ def _canonical_violation(game: Game, walk: _Walk) -> tuple[str, str, str] | None
 
 def is_canonical(game: Game) -> bool:
     """True iff no cell contains a node together with a strict descendant."""
-    return _canonical_violation(game, _walk(game)) is None
+    return game._tree.violation is None
 
 
 def canonicalize(game: Game) -> Game:
@@ -303,8 +335,7 @@ def canonicalize(game: Game) -> Game:
     """
     current = game
     while True:
-        walk = _walk(current)
-        violation = _canonical_violation(current, walk)
+        violation = current._tree.violation
         if violation is None:
             return current
         _, ancestor, node = violation
@@ -317,7 +348,7 @@ def canonicalize(game: Game) -> Game:
             raise RuntimeError(f"no action at {ancestor!r} leads to its same-cell descendant {node!r}")
         keep = current.successor_map[(node, kept_action)]
         dead = _descendants(current, node) - _descendants(current, keep)
-        parent_node, parent_action = walk.parent[node]
+        parent_node, parent_action = current._tree.walk.parent[node]
 
         new_successors: dict[tuple[str, str], str] = {}
         for (n, a), child in current.successor_map.items():
@@ -359,10 +390,7 @@ def has_perfect_recall(game: Game) -> bool:
     different own past moves would be able to distinguish, which is a
     recall failure.
     """
-    return _recalls(game, _walk(game))
-
-
-def _recalls(game: Game, walk: _Walk) -> bool:
+    walk = game._tree.walk
     cell_of = {node: label for label, members in game.infosets.items() for node in members}
     # Each player's experience, the (cell, action) pairs of their own moves
     # on the root path, carried down as an id: equal ids, equal experiences.
@@ -387,11 +415,10 @@ def validate_game(game: Game) -> ValidationReport:
 
     Violations are report entries, never exceptions; the flags
     (canonical form, perfect recall, ties) are computed only when the
-    structure is sound enough to make them meaningful. One walk from the
-    root serves the reachability check and both flags.
+    structure is sound enough to make them meaningful. The game's one
+    walk from the root serves the reachability check and both flags.
     """
-    walk = _walk(game)
-    errors = _structural_issues(game, walk)
+    errors = _structural_issues(game)
     warnings: list[ValidationIssue] = []
     for node in game.choice_nodes:
         if node in game.action_map and not game.action_map[node]:
@@ -402,9 +429,9 @@ def validate_game(game: Game) -> ValidationReport:
     return ValidationReport(
         errors=tuple(errors),
         warnings=tuple(warnings),
-        is_canonical=structurally_ok and _canonical_violation(game, walk) is None,
-        has_perfect_recall=structurally_ok and _recalls(game, walk),
-        has_ties=game_has_ties(game),
+        is_canonical=structurally_ok and game._tree.violation is None,
+        has_perfect_recall=structurally_ok and has_perfect_recall(game),
+        has_ties=game._tree.has_ties,
     )
 
 

@@ -33,6 +33,11 @@ SHAPES = ("normal_form", "perfect_info", "general_imperfect", "spacetime")
 
 Matrix = Mapping[tuple[str, ...], Sequence[object]]
 
+# The most rows or columns search_empty_pte accepts. Its space grows as
+# (r*c)!**2, so even 3 x 3 cannot be exhausted; the bound only keeps the
+# list of sizes small before the 2 x 2 witness is found.
+SEARCH_LIMIT = 8
+
 
 @dataclass(frozen=True)
 class GeneratorParams:
@@ -442,8 +447,13 @@ def search_empty_pte(
     permutation pairs in lexicographic order, so the witness is
     reproducible. ``accept`` restricts the search space (e.g. to
     symmetric games). The witness is re-verified with naive_solve before
-    being returned; None means the whole space yielded a survivor.
+    being returned; None means the whole space yielded a survivor. Bounds
+    past ``SEARCH_LIMIT`` raise ValueError before anything is enumerated.
     """
+    if max(max_rows, max_cols) > SEARCH_LIMIT:
+        raise ValueError(
+            f"search bounds of {max_rows} rows and {max_cols} columns are refused; at most {SEARCH_LIMIT} of each"
+        )
     sizes = sorted(
         ((r, c) for r in range(2, max_rows + 1) for c in range(2, max_cols + 1)),
         key=lambda rc: (rc[0] * rc[1], rc),

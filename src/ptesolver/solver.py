@@ -10,11 +10,13 @@ that is reached no matter what. The surviving set shrinks until nothing
 more can be discarded; with tie-free payoffs the fixpoint is a singleton
 or empty, never larger.
 
-The game is walked once per call; the walk serves the canonical-form
-check and is compiled into integer bitmasks in payoff-rank space. Each
-player sorts the outcomes by their own payoff (ties in declaration
-order), so bit ``r`` of one of their masks stands for their ``r``-th
-worst outcome and ``first[r]`` is the first rank paying the same.
+The game's preorder walk, its canonical-form check and its tie flag are
+computed once per ``Game`` object and shared with validation; ``solve``
+reads the check and compiles the walk into integer bitmasks in
+payoff-rank space. Each player sorts the outcomes by their own payoff
+(ties in declaration order), so bit ``r`` of one of their masks stands
+for their ``r``-th worst outcome and ``first[r]`` is the first rank
+paying the same.
 A cell keeps the mask of outcomes below its members, and each action the
 mask below the members' children under it, both in the cell player's
 ranks; each player keeps a live mask of the survivors. A step is then the
@@ -40,7 +42,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Collection, Iterable, Mapping
 
-from .game import Game, _canonical_violation, _walk, _Walk, game_has_ties
+from .game import Game
 
 UNIQUE = "unique"
 EMPTY = "empty"
@@ -124,7 +126,8 @@ class _Cell:
 class _Index:
     """The game compiled for one solve from its preorder walk: ranks, cell masks, action masks."""
 
-    def __init__(self, game: Game, walk: _Walk) -> None:
+    def __init__(self, game: Game) -> None:
+        walk = game._tree.walk
         if walk.revisited is not None:
             raise ValueError(f"{walk.revisited!r} is reached twice from the root; the game is not a tree")
         self.parent = walk.parent
@@ -233,7 +236,7 @@ def reached_infosets(game: Game, surviving: frozenset[str]) -> frozenset[str]:
     """Cells the play is certain to cross: every survivor sits below them."""
     if not surviving:
         raise ValueError("the surviving set must be nonempty")
-    index = _Index(game, _walk(game))
+    index = _Index(game)
     return frozenset(cell.label for cell in _reached(index, index.live(surviving)))
 
 
@@ -244,7 +247,7 @@ def maximin(game: Game, surviving: frozenset[str], cell: str) -> tuple[Fraction,
     each is valued by its worst surviving payoff. Ties between actions
     break toward the cell's action declaration order.
     """
-    index = _Index(game, _walk(game))
+    index = _Index(game)
     compiled = index.cells[cell]
     worst, action, _ = _maximin(index.live(surviving), compiled)
     return compiled.ranks.values[worst], action
@@ -252,7 +255,7 @@ def maximin(game: Game, surviving: frozenset[str], cell: str) -> tuple[Fraction,
 
 def preempted(game: Game, surviving: frozenset[str], reached: frozenset[str]) -> frozenset[str]:
     """Outcomes paying some player less than a reached-cell guarantee."""
-    index = _Index(game, _walk(game))
+    index = _Index(game)
     cells = [cell for cell in index.cells.values() if cell.label in reached]
     _, by = _step(index, index.live(surviving), cells)
     return frozenset(by)
@@ -265,16 +268,15 @@ def solve(game: Game) -> SolveResult:
     union over all players and reached cells. Terminates after at most
     one step per outcome, since every non-final step removes something.
     """
-    walk = _walk(game)
-    violation = _canonical_violation(game, walk)
+    violation = game._tree.violation
     if violation is not None:
         cell, ancestor, node = violation
         raise NotCanonicalError(
             f"information set {cell!r} contains node {node!r} and its ancestor {ancestor!r}; "
             "canonicalize the game first"
         )
-    has_ties = game_has_ties(game)
-    index = _Index(game, walk)
+    has_ties = game._tree.has_ties
+    index = _Index(game)
     live = index.live(game.outcomes)
     surviving = frozenset(game.outcomes)
     steps: list[SolverState] = []

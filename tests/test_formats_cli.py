@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
+import textwrap
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -24,12 +27,14 @@ from ptesolver import (
     trace_to_jsonable,
 )
 from ptesolver.cli import run
+from ptesolver.oracle import SEARCH_LIMIT
 
 from conftest import FIXTURES
 
 PD_PATH = str(FIXTURES / "prisoners_dilemma.json")
 WITNESS_PATH = str(FIXTURES / "empty_pte_witness.json")
 SETUP_PATH = str(FIXTURES / "spacetime_example.json")
+ROOT = FIXTURES.parent.parent
 
 
 class TestGameDocuments:
@@ -263,6 +268,26 @@ class TestCli:
 
     def test_search_counterexample_none_found(self, capsys):
         assert run(["search-counterexample", "--max-rows", "1", "--max-cols", "1"]) == 2
+
+    def test_search_counterexample_refuses_huge_bounds(self):
+        # In a child with a capped address space and a timeout, so that a
+        # missing guard, which would list 10**10 matrix sizes, fails fast.
+        child = textwrap.dedent(
+            """
+            import resource, sys
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(hard, 1 << 30)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+            from ptesolver.cli import run
+            sys.exit(run(["search-counterexample", "--max-rows", "100000", "--max-cols", "100000"]))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            f"error: search bounds of 100000 rows and 100000 columns are refused; at most {SEARCH_LIMIT} of each\n"
+        )
 
     def test_missing_file_exits_one(self, capsys):
         assert run(["solve", "no_such_file.json"]) == 1

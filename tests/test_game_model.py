@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -10,13 +10,18 @@ from ptesolver import (
     build_game,
     canonicalize,
     embed_normal_form,
+    game_has_ties,
     has_perfect_recall,
     is_canonical,
+    solve,
     validate_game,
 )
+from ptesolver import game as game_module
+from ptesolver.cli import run
 from ptesolver.game import _walk
 
 from conftest import (
+    FIXTURES,
     PD_ACTIONS,
     PD_MATRIX,
     PD_PLAYERS,
@@ -313,3 +318,63 @@ class TestEmbedNormalForm:
         game = embed_normal_form(matrix, ("A",), (("x", "y"),))
         assert game.utility("A", "x") == Fraction(1, 10)
         assert game.utility("A", "y") == Fraction(3, 10)
+
+
+class TestTreeIndex:
+    """The walk, canonical check and tie flag are derived once per Game object and kept with it."""
+
+    @pytest.mark.parametrize("argv", [["solve"], ["solve", "--quiet"], ["export-dot"], ["validate"]])
+    def test_a_command_walks_and_checks_once(self, argv, monkeypatch, capsys):
+        calls = {"walk": 0, "check": 0}
+
+        def counted(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return call
+
+        monkeypatch.setattr(game_module, "_walk", counted("walk", game_module._walk))
+        monkeypatch.setattr(game_module, "_canonical_violation", counted("check", game_module._canonical_violation))
+        assert run([*argv, str(FIXTURES / "prisoners_dilemma.json")]) == 0
+        assert calls == {"walk": 1, "check": 1}
+
+    def test_solve_reads_the_index_validation_made(self, pd_game, monkeypatch):
+        validate_game(pd_game)
+        monkeypatch.setattr(game_module, "_walk", None)  # a second walk would fail
+        assert solve(pd_game).fixpoint == frozenset({"C,c"})
+        assert game_has_ties(pd_game) is False and is_canonical(pd_game) and has_perfect_recall(pd_game)
+
+    def test_a_replaced_game_has_its_own_index(self, pd_game):
+        assert not game_has_ties(pd_game) and is_canonical(pd_game)
+        tied = replace(pd_game, utility_map={**pd_game.utility_map, ("Row", "C,c"): Fraction(5)})
+        assert game_has_ties(tied) and not game_has_ties(pd_game)
+        for seed in range(40):
+            game = random_tree_game(seed)
+            assert is_canonical(game)
+            merged = replace(game, infosets=entangle(game, seed).infosets)
+            assert is_canonical(merged) == (merged.infosets == game.infosets)
+            assert merged._tree is not game._tree and is_canonical(game)
+
+    def test_canonicalize_gives_each_game_its_own_index(self):
+        for seed in range(40):
+            game = entangle(random_tree_game(seed), seed)
+            violation = game._tree.violation
+            pruned = canonicalize(game)
+            if violation is None:
+                assert pruned is game
+                continue
+            assert pruned._tree is not game._tree and game._tree.violation == violation
+            assert pruned._tree.violation is None
+            assert pruned._tree.walk == game_module._walk(pruned)
+
+    def test_the_index_is_not_part_of_the_game(self, pd_game):
+        fresh = embed_normal_form(PD_MATRIX, PD_PLAYERS, PD_ACTIONS)
+        before = repr(pd_game)
+        validate_game(pd_game)
+        solve(pd_game)
+        assert "_tree" in vars(pd_game) and "_tree" not in vars(fresh)
+        assert pd_game == fresh and fresh == pd_game
+        assert repr(pd_game) == before == repr(fresh)
+        assert "_tree" not in {f.name for f in fields(Game)}
+        assert replace(pd_game) == pd_game and "_tree" not in vars(replace(pd_game))

@@ -27,6 +27,7 @@ from ptesolver import (
     solve,
     validate_game,
 )
+from ptesolver.oracle import SEARCH_LIMIT
 
 from conftest import (
     PD_ACTIONS,
@@ -256,3 +257,11 @@ class TestSearchEmptyPte:
 
     def test_one_by_one_space_is_empty(self):
         assert search_empty_pte(1, 1) is None
+
+    def test_bounds_past_the_limit_are_refused(self):
+        # Past the limit the guard raises first; without it these bounds find the 2 x 2 witness.
+        with pytest.raises(ValueError, match=f"at most {SEARCH_LIMIT} of each"):
+            search_empty_pte(SEARCH_LIMIT + 1, 2)
+        with pytest.raises(ValueError, match=f"at most {SEARCH_LIMIT} of each"):
+            search_empty_pte(2, SEARCH_LIMIT + 1)
+        assert search_empty_pte(SEARCH_LIMIT, SEARCH_LIMIT) == search_empty_pte(2, 2)

@@ -1,13 +1,14 @@
-"""Hypothesis properties of the game layer, the solver's rank sort and the JSON writer.
+"""Hypothesis properties of the game layer, the solver's rank sort and the document formats.
 
 Each generated node may join any earlier cell of the same player and
 action set, an ancestor's included, so the trees cover canonical and
 non-canonical games with and without perfect recall. The preorder-walk
 checks are compared with test-local copies of the quadratic checks they
 replaced, which re-walk a subtree per node and climb a root path per
-cell member. The float-first sort key and the indented writer are
-compared with what they stand in for: the Fraction order and
-``json.dumps(x, indent=2)``.
+cell member. The float-first sort key, the indented writer and the tie
+check are compared with what they stand in for: the Fraction order,
+``json.dumps(x, indent=2)`` and a set of the payoff Fractions. Game and
+setup documents round-trip through their parsers.
 """
 
 from __future__ import annotations
@@ -21,18 +22,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptesolver import (
+    DecisionPoint,
     Game,
     NotCanonicalError,
+    SpacetimeSetup,
     canonicalize,
+    game_has_ties,
     has_perfect_recall,
     is_canonical,
     parse_game,
+    parse_setup,
     serialize_game,
+    serialize_setup,
     solve,
     validate_game,
 )
 from ptesolver.formats import _indented_json
-from ptesolver.game import _canonical_violation, _walk
 from ptesolver.solver import _exact_key
 
 from conftest import all_profiles, follow_profile
@@ -144,7 +149,7 @@ def test_canonicalize_preserves_every_pure_profile_outcome(game):
 @given(entangled_games(max_nodes=30))
 def test_walk_checks_equal_the_quadratic_checks(game):
     violation = quadratic_violation(game)
-    assert _canonical_violation(game, _walk(game)) == violation
+    assert game._tree.violation == violation
     assert has_perfect_recall(game) == quadratic_recall(game)
     report = validate_game(game)
     assert report.errors == ()
@@ -211,3 +216,69 @@ def documented_games(draw) -> Game:
 @given(documented_games())
 def test_game_documents_round_trip(game):
     assert parse_game(serialize_game(game)) == game
+
+
+def fraction_set_ties(game: Game) -> bool:
+    """The tie check as it was: a set of each player's payoff Fractions."""
+    for player in game.players:
+        seen: set[Fraction] = set()
+        for outcome in game.outcomes:
+            value = game.utility_map.get((player, outcome))
+            if value is None:
+                continue
+            if value in seen:
+                return True
+            seen.add(value)
+    return False
+
+
+# Equal values in different spellings, and values that differ only in sign or denominator.
+payoff_spellings = st.sampled_from(
+    [2, "2", "4/2", "2.0", "0.5", "1/2", "2/4", "-1/2", "-0.5", -2, "1/3", "2/6", 0, "0", "-0", "0/5"]
+) | st.fractions(-4, 4, max_denominator=6).map(lambda value: f"{value.numerator}/{value.denominator}")
+
+
+@PROPERTY_SETTINGS
+@given(entangled_games(max_nodes=7), st.data())
+def test_tie_check_equals_the_fraction_set_check(game, data):
+    doc = json.loads(serialize_game(game))
+    for outcome in doc["outcomes"]:
+        for player in list(outcome["payoffs"]):
+            if data.draw(st.integers(0, 9)) == 0:
+                del outcome["payoffs"][player]
+            else:
+                outcome["payoffs"][player] = data.draw(payoff_spellings)
+    parsed = parse_game(json.dumps(doc))
+    assert game_has_ties(parsed) == validate_game(parsed).has_ties == fraction_set_ties(parsed)
+
+
+json_keys = st.text(st.characters(codec="utf-8"), max_size=4)
+
+
+@st.composite
+def setups(draw) -> SpacetimeSetup:
+    """Setups as documents hold them: any ids, exact coordinates and payoffs, valid or not."""
+    actions = tuple(draw(st.lists(json_keys, max_size=3)))
+    points = tuple(
+        DecisionPoint(
+            id=point_id,
+            agent=draw(json_keys),
+            coords=tuple(draw(st.lists(exact_values, min_size=1, max_size=3))),
+            actions=tuple(draw(st.lists(json_keys, max_size=3))),
+        )
+        for point_id in draw(st.lists(json_keys, max_size=4, unique=True))
+    )
+    return SpacetimeSetup(
+        dimension=draw(st.integers(-1, 4)),
+        agents=tuple(draw(st.lists(json_keys, max_size=3))),
+        actions=actions,
+        points=points,
+        contingency=draw(st.dictionaries(json_keys, st.dictionaries(json_keys, json_keys, max_size=3), max_size=3)),
+        utilities=draw(st.dictionaries(json_keys, st.dictionaries(json_keys, exact_values, max_size=3), max_size=3)),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(setups())
+def test_setup_documents_round_trip(setup):
+    assert parse_setup(serialize_setup(setup)) == setup
