@@ -14,8 +14,9 @@ positions. The walk, the canonical-form check and the tie flag are
 computed once per ``Game`` object, on first use, and kept with it:
 validation reads reachability, canonical form and perfect recall off
 that walk, and ``solve`` its canonical check and outcome masks, so a
-command that validates and then solves walks the tree once. Only
-``canonicalize``'s rewrite step still collects subtrees.
+command that validates and then solves walks the tree once.
+``canonicalize``'s rewrite step reads the subtrees it drops as ranges of
+that walk; each rewritten game still builds its own walk.
 """
 
 from __future__ import annotations
@@ -93,18 +94,6 @@ class ValidationReport:
         return not self.errors
 
 
-def _descendants(game: Game, start: str) -> set[str]:
-    """All nodes and outcomes in the subtree rooted at ``start``, itself included."""
-    seen: set[str] = set()
-    stack = [start]
-    while stack:
-        element = stack.pop()
-        if element not in seen:
-            seen.add(element)
-            stack.extend(game.successor_map[(element, a)] for a in game.action_map.get(element, ()))
-    return seen
-
-
 @dataclass(frozen=True)
 class _Walk:
     """The tree from the root in preorder, children in action order.
@@ -164,19 +153,22 @@ class _Tree:
     @cached_property
     def has_ties(self) -> bool:
         players, outcomes, utility_map = self._payoffs
-        for player in players:
-            # Fractions are normalized, so equal values have equal parts;
-            # an int or a pair hashes far faster than a Fraction.
-            seen: set[int | tuple[int, int]] = set()
-            for outcome in outcomes:
-                value = utility_map.get((player, outcome))
-                if value is None:
-                    continue
-                key = value.numerator if value.denominator == 1 else (value.numerator, value.denominator)
-                if key in seen:
-                    return True
-                seen.add(key)
-        return False
+        return any(
+            _repeats(utility_map[player, z] for z in outcomes if (player, z) in utility_map) for player in players
+        )
+
+
+def _repeats(values: Iterable[Fraction]) -> bool:
+    """True iff two of the exact values are equal."""
+    # Fractions are normalized, so equal values have equal parts; an int
+    # or a pair hashes far faster than a Fraction.
+    seen: set[int | tuple[int, int]] = set()
+    for value in values:
+        key = value.numerator if value.denominator == 1 else (value.numerator, value.denominator)
+        if key in seen:
+            return True
+        seen.add(key)
+    return False
 
 
 def _structural_issues(game: Game) -> list[ValidationIssue]:
@@ -331,24 +323,31 @@ def canonicalize(game: Game) -> Game:
     strategy reaching it has already fixed the cell's action, so the node
     is replaced by the child under that same action and its other
     subtrees are dropped. Rewrites repeat until no violation remains; the
-    reachable outcome of every pure strategy profile is unchanged.
+    reachable outcome of every pure strategy profile is unchanged. Each
+    rewrite reads the subtrees it keeps and drops as ranges of the current
+    game's walk, so a successor map that is not a tree raises ValueError.
     """
     current = game
     while True:
+        walk = current._tree.walk
+        if walk.revisited is not None:
+            raise ValueError(f"{walk.revisited!r} is reached twice from the root; the game is not a tree")
         violation = current._tree.violation
         if violation is None:
             return current
         _, ancestor, node = violation
-        kept_action = None
-        for action in current.action_map[ancestor]:
-            if node in _descendants(current, current.successor_map[(ancestor, action)]):
-                kept_action = action
+        pos, end, here = walk.pos, walk.end, walk.pos[node]
+        for kept_action in current.action_map[ancestor]:
+            branch = pos[current.successor_map[(ancestor, kept_action)]]
+            if branch <= here < end[branch]:
                 break
-        if kept_action is None:
+        else:
             raise RuntimeError(f"no action at {ancestor!r} leads to its same-cell descendant {node!r}")
         keep = current.successor_map[(node, kept_action)]
-        dead = _descendants(current, node) - _descendants(current, keep)
-        parent_node, parent_action = current._tree.walk.parent[node]
+        # The node's subtree less the kept child's: two ranges of the walk.
+        kept = pos[keep]
+        dead = {*walk.order[here:kept], *walk.order[end[kept] : end[here]]}
+        parent_node, parent_action = walk.parent[node]
 
         new_successors: dict[tuple[str, str], str] = {}
         for (n, a), child in current.successor_map.items():

@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Callable, Mapping, Sequence
 
+from .exact import parse_exact
 from .game import Game, embed_normal_form
 from .solver import (
     EMPTY,
@@ -27,7 +28,7 @@ from .solver import (
     SolverState,
     solve,
 )
-from .spacetime import DecisionPoint, SpacetimeSetup, _Triangle, build_game
+from .spacetime import DecisionPoint, SpacetimeSetup, _Triangle, build_game, causal_dag, total_order
 
 SHAPES = ("normal_form", "perfect_info", "general_imperfect", "spacetime")
 
@@ -81,8 +82,6 @@ def normal_form_maximin(
     player: str,
 ) -> Fraction:
     """Matrix maximin by direct scan over own actions and opponent profiles."""
-    from .exact import parse_exact
-
     me = list(players).index(player)
     best = None
     for own in action_lists[me]:
@@ -357,7 +356,8 @@ def random_setup(
             contingency=_forced_triangle(sub, points),
             utilities={},
         )
-        complete, _ = _Triangle(setup).histories
+        # The walk stops past max_outcomes complete histories, which rejects the setup.
+        complete = _Triangle(setup, slack=max_outcomes).histories[0]
         if not complete or len(complete) > max_outcomes:
             continue
         utilities: dict[str, dict[str, Fraction]] = {h.key(): {} for h in complete}
@@ -391,8 +391,6 @@ def _random_spacetime(rng: random.Random, params: GeneratorParams) -> Game:
 
 def _forced_triangle(rng: random.Random, points: Sequence[DecisionPoint]) -> dict[str, dict[str, str]]:
     """The contingency entries are forced up to the choice of required action."""
-    from .spacetime import causal_dag, total_order
-
     probe = SpacetimeSetup(
         dimension=2,
         agents=tuple(dict.fromkeys(p.agent for p in points)),

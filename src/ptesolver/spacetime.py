@@ -15,7 +15,11 @@ Public entry points: :func:`separation`, :func:`causal_dag`,
 and :func:`build_game`. The order, the contingency rows and the histories
 are derived once per validation or build, and :func:`build_game`
 validates once, raising :class:`SetupError` with the full report when the
-setup is invalid.
+setup is invalid. One walk enumerates the histories together with each
+pending history's children, and :func:`build_game` takes its edges from
+it. A valid setup lists one utilities entry per complete history, so the
+walk stops, and validation reports ``TOO_MANY_HISTORIES``, once it has
+found more than ``HISTORY_SLACK`` complete histories beyond that count.
 """
 
 from __future__ import annotations
@@ -23,13 +27,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .game import Game, ValidationIssue
+from .game import Game, ValidationIssue, _repeats
 
 TIMELIKE = "timelike"
 SPACELIKE = "spacelike"
 COLOCATED = "colocated"
+
+# How many more complete histories than utilities entries the history walk
+# enumerates before it stops: past that many the setup is already invalid,
+# and spacelike setups have exponentially many.
+HISTORY_SLACK = 1024
 
 
 @dataclass(frozen=True)
@@ -170,12 +179,16 @@ class _Triangle:
 
     Row k has one entry per earlier point: the action the contingency
     requires there, or None. A prefix covering the first k points leaves
-    a decision pending at point k iff it meets row k. The histories are
-    walked on first use and kept with the object, which lives for one
-    validation or build.
+    a decision pending at point k iff it meets row k. The histories, and
+    the children of each pending one, are walked on first use and kept
+    with the object, which lives for one validation or build: validation
+    reads the complete histories and :func:`build_game` the children as
+    its edges. The walk enumerates at most ``bound`` complete histories,
+    the setup's utilities entries plus ``slack``, and then stops.
     """
 
-    def __init__(self, setup: SpacetimeSetup) -> None:
+    def __init__(self, setup: SpacetimeSetup, slack: int = HISTORY_SLACK) -> None:
+        self.bound = len(setup.utilities) + slack
         self.order = total_order(setup)
         self.rows: list[tuple[str | None, ...]] = []
         for k, point in enumerate(self.order):
@@ -201,26 +214,31 @@ class _Triangle:
         return History(extended)
 
     @cached_property
-    def histories(self) -> tuple[list[History], list[History]]:
-        """Consistent histories in preorder: (complete, incomplete-with-pending-decision).
+    def histories(self) -> tuple[list[History], list[History], list[list[History]]]:
+        """Consistent histories in preorder: (complete, pending, children).
 
+        ``pending`` holds the incomplete histories with a decision pending,
+        and ``children[i]`` the successors of ``pending[i]`` in action order.
         One walk with an explicit stack; the children of a pending history
         go on the stack in reverse action order so that they come off it
-        in action order.
+        in action order. The walk stops early once it has found more than
+        ``bound`` complete histories.
         """
         n = len(self.order)
         complete: list[History] = []
         incomplete: list[History] = []
+        children: list[list[History]] = []
         stack = [History(())]
-        while stack:
+        while stack and len(complete) <= self.bound:
             history = stack.pop()
             if len(history) == n:
                 complete.append(history)
                 continue
             incomplete.append(history)
-            actions = self.order[len(history)].actions
-            stack.extend(self.successor(history, action) for action in reversed(actions))
-        return complete, incomplete
+            below = [self.successor(history, action) for action in self.order[len(history)].actions]
+            children.append(below)
+            stack.extend(reversed(below))
+        return complete, incomplete, children
 
 
 def _triangle_issues(setup: SpacetimeSetup, triangle: _Triangle) -> list[ValidationIssue]:
@@ -302,16 +320,25 @@ def _triangle_issues(setup: SpacetimeSetup, triangle: _Triangle) -> list[Validat
     return errors
 
 
-def _utility_issues(
-    setup: SpacetimeSetup, complete: Iterable[History]
-) -> tuple[list[ValidationIssue], bool]:
+def _utility_issues(setup: SpacetimeSetup, triangle: _Triangle) -> tuple[list[ValidationIssue], bool]:
     errors: list[ValidationIssue] = []
+    complete = triangle.histories[0]
     keys = {history.key() for history in complete}
-    for key in setup.utilities:
-        if key not in keys:
-            errors.append(
-                ValidationIssue("UNKNOWN_HISTORY", f"payoffs given for inconsistent history {key!r}", (key,))
+    if len(complete) > triangle.bound:
+        # The walk stopped early, so a key it has not found may still be valid.
+        errors.append(
+            ValidationIssue(
+                "TOO_MANY_HISTORIES",
+                f"the setup has more than {triangle.bound} complete histories, {HISTORY_SLACK} more than "
+                f"its {len(setup.utilities)} utilities entries; the history walk stopped there",
             )
+        )
+    else:
+        for key in setup.utilities:
+            if key not in keys:
+                errors.append(
+                    ValidationIssue("UNKNOWN_HISTORY", f"payoffs given for inconsistent history {key!r}", (key,))
+                )
     agent_set = set(setup.agents)
     for key in sorted(keys):
         entry = setup.utilities.get(key, {})
@@ -325,16 +352,8 @@ def _utility_issues(
                 errors.append(
                     ValidationIssue("UNKNOWN_AGENT", f"payoff for unknown agent {agent!r} at {key!r}", (agent, key))
                 )
-    has_ties = False
-    for agent in setup.agents:
-        seen: set[Fraction] = set()
-        for key in keys:
-            value = setup.utilities.get(key, {}).get(agent)
-            if value is None:
-                continue
-            if value in seen:
-                has_ties = True
-            seen.add(value)
+    entries = [setup.utilities.get(key, {}) for key in keys]
+    has_ties = any(_repeats(entry[agent] for entry in entries if agent in entry) for agent in setup.agents)
     return errors, has_ties
 
 
@@ -395,8 +414,7 @@ def _check(setup: SpacetimeSetup) -> tuple[SetupReport, _Triangle | None]:
     if errors:
         return SetupReport(tuple(errors), tuple(warnings)), None
 
-    complete, _ = triangle.histories
-    utility_errors, has_ties = _utility_issues(setup, complete)
+    utility_errors, has_ties = _utility_issues(setup, triangle)
     errors.extend(utility_errors)
     report = SetupReport(tuple(errors), tuple(warnings), has_ties)
     return report, (triangle if report.ok else None)
@@ -432,25 +450,26 @@ def build_game(setup: SpacetimeSetup) -> Game:
     keys; the cell of a node is the pending decision point. The root is
     the empty history, and the result is canonical by construction since
     all nodes of a cell have equal length. The setup is validated once,
-    and an invalid one raises :class:`SetupError`.
+    and an invalid one raises :class:`SetupError`. The edges are the
+    children that the validation's history walk found.
     """
     report, triangle = _check(setup)
     if triangle is None:
         raise SetupError(report)
 
-    complete, incomplete = triangle.histories
+    complete, incomplete, children = triangle.histories
     action_map: dict[str, tuple[str, ...]] = {}
     player_map: dict[str, str] = {}
     successor_map: dict[tuple[str, str], str] = {}
     cells: dict[str, list[str]] = {}
-    for history in incomplete:
+    for history, below in zip(incomplete, children):
         pending = triangle.order[len(history)]
         node = history.key()
         action_map[node] = pending.actions
         player_map[node] = pending.agent
         cells.setdefault(pending.id, []).append(node)
-        for action in pending.actions:
-            successor_map[(node, action)] = triangle.successor(history, action).key()
+        for action, child in zip(pending.actions, below):
+            successor_map[(node, action)] = child.key()
     outcomes = tuple(history.key() for history in complete)
     return Game(
         players=setup.agents,

@@ -9,6 +9,7 @@ import textwrap
 import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -183,7 +184,7 @@ class TestCli:
         assert report["is_canonical"] is True
 
     def test_validate_bad_game(self, tmp_path, capsys):
-        doc = json.loads(open(PD_PATH).read())
+        doc = json.loads(Path(PD_PATH).read_text())
         doc["root"] = "nowhere"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -218,7 +219,7 @@ class TestCli:
     def test_canonicalize_round_trips(self, capsys):
         assert run(["canonicalize", PD_PATH]) == 0
         out = capsys.readouterr().out
-        assert parse_game(out) == parse_game(open(PD_PATH).read())
+        assert parse_game(out) == parse_game(Path(PD_PATH).read_text())
 
     def test_spacetime_build_echoes_order_and_game(self, capsys):
         assert run(["spacetime-build", SETUP_PATH]) == 0
@@ -228,7 +229,7 @@ class TestCli:
         assert len(game.outcomes) == 14
 
     def test_spacetime_build_invalid_setup_lists_every_error(self, tmp_path, capsys):
-        doc = json.loads(open(SETUP_PATH).read())
+        doc = json.loads(Path(SETUP_PATH).read_text())
         del doc["utilities"]["2,_,5,7,10,11"]
         doc["utilities"]["1,3,_,7,9,1"] = {"Peter": 1, "Mary": 1, "John": 1, "Helen": 1}
         path = tmp_path / "invalid_setup.json"

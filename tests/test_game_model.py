@@ -13,6 +13,7 @@ from ptesolver import (
     game_has_ties,
     has_perfect_recall,
     is_canonical,
+    serialize_game,
     solve,
     validate_game,
 )
@@ -27,6 +28,7 @@ from conftest import (
     PD_PLAYERS,
     actions_taken,
     all_profiles,
+    binary_tree_game,
     entangle,
     follow_profile,
     mary_recall_game,
@@ -225,6 +227,51 @@ def chain_game() -> Game:
     )
 
 
+def subtree_set_canonicalize(game: Game) -> Game:
+    """The rewrite loop that collected every subtree with its own stack walk."""
+
+    def descendants(current: Game, start: str) -> set[str]:
+        seen: set[str] = set()
+        stack = [start]
+        while stack:
+            element = stack.pop()
+            if element not in seen:
+                seen.add(element)
+                stack.extend(current.successor_map[(element, a)] for a in current.action_map.get(element, ()))
+        return seen
+
+    current = game
+    while current._tree.violation is not None:
+        _, ancestor, node = current._tree.violation
+        kept_action = next(
+            a for a in current.action_map[ancestor] if node in descendants(current, current.successor_map[(ancestor, a)])
+        )
+        keep = current.successor_map[(node, kept_action)]
+        dead = descendants(current, node) - descendants(current, keep)
+        parent_edge = current._tree.walk.parent[node]
+        current = Game(
+            players=current.players,
+            actions=current.actions,
+            choice_nodes=tuple(n for n in current.choice_nodes if n not in dead),
+            outcomes=tuple(z for z in current.outcomes if z not in dead),
+            action_map={n: acts for n, acts in current.action_map.items() if n not in dead},
+            player_map={n: p for n, p in current.player_map.items() if n not in dead},
+            successor_map={
+                edge: keep if edge == parent_edge else child
+                for edge, child in current.successor_map.items()
+                if edge[0] not in dead
+            },
+            utility_map={(p, z): v for (p, z), v in current.utility_map.items() if z not in dead},
+            infosets={
+                label: kept
+                for label, members in current.infosets.items()
+                if (kept := tuple(n for n in members if n not in dead))
+            },
+            root=current.root,
+        )
+    return current
+
+
 class TestCanonicalize:
     def test_already_canonical_is_identity(self, pd_game):
         assert canonicalize(pd_game) == pd_game
@@ -245,6 +292,22 @@ class TestCanonicalize:
             once = canonicalize(game)
             assert canonicalize(once) == once
             assert is_canonical(once)
+
+    def test_equals_the_subtree_set_rewrite(self):
+        games = [entangle(random_tree_game(seed), seed) for seed in range(200)]
+        games += [entangle(random_tree_game(seed, max_depth=6, max_outcomes=40), seed) for seed in range(100)]
+        games += [binary_tree_game(10, seed, entangled=True) for seed in (1, 2)]
+        rewritten = 0
+        for game in games:
+            pruned, reference = canonicalize(game), subtree_set_canonicalize(game)
+            assert pruned == reference and serialize_game(pruned) == serialize_game(reference)
+            rewritten += pruned is not game
+        assert rewritten > 150
+
+    def test_a_successor_map_that_is_not_a_tree_is_refused(self):
+        joined = replace(chain_game(), successor_map={**chain_game().successor_map, ("n1", "R"): "zLL"})
+        with pytest.raises(ValueError, match="'zLL' is reached twice from the root; the game is not a tree"):
+            canonicalize(joined)
 
     def test_profile_semantics_preserved(self):
         checked = 0

@@ -32,10 +32,12 @@ from ptesolver import (
     is_canonical,
     parse_game,
     parse_setup,
+    random_setup,
     serialize_game,
     serialize_setup,
     solve,
     validate_game,
+    validate_setup,
 )
 from ptesolver.formats import _indented_json
 from ptesolver.solver import _exact_key
@@ -250,6 +252,34 @@ def test_tie_check_equals_the_fraction_set_check(game, data):
                 outcome["payoffs"][player] = data.draw(payoff_spellings)
     parsed = parse_game(json.dumps(doc))
     assert game_has_ties(parsed) == validate_game(parsed).has_ties == fraction_set_ties(parsed)
+
+
+def fraction_set_setup_ties(setup: SpacetimeSetup) -> bool:
+    """The same set check over each agent's payoffs in the utilities entries."""
+    for agent in setup.agents:
+        seen: set[Fraction] = set()
+        for payoffs in setup.utilities.values():
+            if agent in payoffs:
+                if payoffs[agent] in seen:
+                    return True
+                seen.add(payoffs[agent])
+    return False
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 500), st.data())
+def test_setup_tie_check_equals_the_fraction_set_check(seed, data):
+    # Every key of a generated setup is a complete history, so the set
+    # check over its entries is the check over the histories.
+    doc = json.loads(serialize_setup(random_setup(seed)))
+    for payoffs in doc["utilities"].values():
+        for agent in list(payoffs):
+            if data.draw(st.integers(0, 9)) == 0:
+                del payoffs[agent]
+            else:
+                payoffs[agent] = data.draw(payoff_spellings)
+    parsed = parse_setup(json.dumps(doc))
+    assert validate_setup(parsed).has_ties == fraction_set_setup_ties(parsed)
 
 
 json_keys = st.text(st.characters(codec="utf-8"), max_size=4)

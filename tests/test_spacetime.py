@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
+import time
 from fractions import Fraction
 from dataclasses import replace
 from itertools import product
@@ -26,11 +28,16 @@ from ptesolver import (
     is_canonical,
     random_setup,
     separation,
+    serialize_setup,
     spacelike_agent_check,
     total_order,
     validate_game,
     validate_setup,
 )
+from ptesolver import spacetime as spacetime_module
+from ptesolver.spacetime import HISTORY_SLACK, _Triangle
+
+from conftest import timelike_chain_setup
 
 # The six-point example: histories the build must reproduce exactly.
 HEXA_COMPLETE = {
@@ -341,6 +348,100 @@ class TestSuccessorHat:
             images = list(game.successor_map.values())
             assert len(set(images)) == len(images)
             assert len(images) == sum(len(game.action_map[node]) for node in game.choice_nodes)
+
+
+    def test_equals_the_per_edge_successor_pass(self, hexa_setup):
+        setups = [hexa_setup, timelike_chain_setup(160, 1)] + [random_setup(seed) for seed in range(60)]
+        for setup in setups:
+            triangle = _Triangle(setup)
+            _, incomplete, _ = triangle.histories
+            per_edge = [
+                ((history.key(), action), triangle.successor(history, action).key())
+                for history in incomplete
+                for action in triangle.order[len(history)].actions
+            ]
+            assert list(build_game(setup).successor_map.items()) == per_edge
+
+    def test_build_calls_successor_once_per_edge(self, hexa_setup, monkeypatch):
+        calls = []
+        successor = _Triangle.successor
+
+        def counted(triangle, history, action):
+            calls.append((history, action))
+            return successor(triangle, history, action)
+
+        monkeypatch.setattr(spacetime_module._Triangle, "successor", counted)
+        for setup in (hexa_setup, timelike_chain_setup(30, 1), random_setup(7)):
+            calls.clear()
+            game = build_game(setup)
+            assert len(calls) == len(set(calls)) == len(game.successor_map)
+
+
+def spacelike_setup(n: int, utilities: dict | None = None) -> SpacetimeSetup:
+    """n two-action points at one time, so pairwise spacelike: 2**n complete histories."""
+    return SpacetimeSetup(
+        dimension=2,
+        agents=("A",),
+        actions=("x", "y"),
+        points=tuple(DecisionPoint(f"p{k}", "A", (Fraction(k), Fraction(0)), ("x", "y")) for k in range(n)),
+        contingency={},
+        utilities=utilities or {},
+    )
+
+
+class TestHistoryBound:
+    """The walk stops past HISTORY_SLACK more complete histories than utilities entries."""
+
+    def test_within_the_bound_every_history_is_reported(self):
+        report = validate_setup(spacelike_setup(10, {"x,y": {"A": 1}}))
+        assert 2**10 <= 1 + HISTORY_SLACK
+        assert [i.code for i in report.errors] == ["UNKNOWN_HISTORY"] + ["MISSING_UTILITY"] * 2**10
+
+    def test_past_the_bound_the_walk_stops_and_says_so(self):
+        report = validate_setup(spacelike_setup(11))
+        stop = report.errors[0]
+        assert (stop.code, stop.message) == (
+            "TOO_MANY_HISTORIES",
+            f"the setup has more than {HISTORY_SLACK} complete histories, {HISTORY_SLACK} more than "
+            "its 0 utilities entries; the history walk stopped there",
+        )
+        missing = report.errors[1:]
+        assert [i.code for i in missing] == ["MISSING_UTILITY"] * (HISTORY_SLACK + 1)
+        assert [i.ids[1] for i in missing] == sorted(i.ids[1] for i in missing)
+        with pytest.raises(SetupError):
+            build_game(spacelike_setup(11))
+
+    def test_no_unknown_history_after_a_stop(self):
+        # The last history in preorder is valid but never reached by the stopped walk.
+        late = ",".join(["y"] * 11)
+        report = validate_setup(spacelike_setup(11, {late: {"A": 1}, "x,y": {"A": 2}}))
+        assert report.errors[0].code == "TOO_MANY_HISTORIES"
+        assert "UNKNOWN_HISTORY" not in {i.code for i in report.errors}
+
+    def test_forty_spacelike_points_exit_one_within_a_second(self, tmp_path):
+        # In a child with a capped address space and a timeout, so that a
+        # missing bound, which would walk 2**40 histories, fails fast.
+        path = tmp_path / "spacelike.json"
+        path.write_text(serialize_setup(spacelike_setup(40)))
+        child = textwrap.dedent(
+            f"""
+            import resource, sys
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(hard, 1 << 30)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+            from ptesolver.cli import run
+            sys.exit(run(["spacetime-build", {str(path)!r}]))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert (done.returncode, done.stdout) == (1, "")
+        lines = done.stderr.splitlines()
+        assert lines[0].startswith("error TOO_MANY_HISTORIES: the setup has more than 1024 complete histories")
+        assert len(lines) == 1 + HISTORY_SLACK + 1
+        assert elapsed < 1.0
 
 
 class TestBuildGame:
