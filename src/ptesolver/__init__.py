@@ -25,9 +25,6 @@ from .solver import (
     NotCanonicalError,
     SolveResult,
     SolverState,
-    maximin,
-    preempted,
-    reached_infosets,
     solve,
 )
 from .spacetime import (

@@ -10,13 +10,13 @@ Everything here is a pure function over an immutable :class:`Game`;
 nothing mutates a game after construction, so games can be shared freely
 across concurrent solver runs. Ancestry questions are answered from one
 preorder walk of the tree, in which every subtree is a range of
-positions. The walk, the canonical-form check and the tie flag are
-computed once per ``Game`` object, on first use, and kept with it:
-validation reads reachability, canonical form and perfect recall off
-that walk, and ``solve`` its canonical check and outcome masks, so a
-command that validates and then solves walks the tree once.
+positions. The walk, the canonical-form check and the tie flag make one
+index, ``Game._tree``, built once per ``Game`` object on first use and
+kept with it: validation reads reachability, canonical form and perfect
+recall off that walk, and ``solve`` its canonical check and outcome
+masks, so a command that validates and then solves walks the tree once.
 ``canonicalize``'s rewrite step reads the subtrees it drops as ranges of
-that walk; each rewritten game still builds its own walk.
+that walk; each rewritten game still builds its own index.
 """
 
 from __future__ import annotations
@@ -94,60 +94,44 @@ class ValidationReport:
         return not self.errors
 
 
-@dataclass(frozen=True)
-class _Walk:
-    """The tree from the root in preorder, children in action order.
-
-    ``order[i]`` is the element at position ``i``, ``pos`` the inverse, and
-    its subtree fills positions ``i`` to ``end[i] - 1``: ``x`` is a strict
-    descendant of ``y`` iff ``pos[y] < pos[x] < end[pos[y]]``. ``parent``
-    maps all but the root to their (node, action) edge. If the successor
-    map is not a tree, the first element reached twice is ``revisited``.
-    """
-
-    order: list[str]
-    pos: dict[str, int]
-    end: list[int]
-    parent: dict[str, tuple[str, str]]
-    revisited: str | None
-
-
-def _walk(game: Game) -> _Walk:
-    order: list[str] = []
-    pos: dict[str, int] = {}
-    parent: dict[str, tuple[str, str]] = {}
-    revisited = None
-    stack: list[tuple[str, tuple[str, str] | None]] = [(game.root, None)]
-    while stack:
-        element, via = stack.pop()
-        if element in pos:
-            revisited = element if revisited is None else revisited
-            continue
-        pos[element] = len(order)
-        order.append(element)
-        if via is not None:
-            parent[element] = via
-        edges = [(element, a) for a in game.action_map.get(element, ()) if (element, a) in game.successor_map]
-        stack.extend((game.successor_map[edge], edge) for edge in reversed(edges))
-    end = list(range(1, len(order) + 1))
-    for i in range(len(order) - 1, 0, -1):
-        up = pos[parent[order[i]][0]]
-        end[up] = max(end[up], end[i])
-    return _Walk(order, pos, end, parent, revisited)
-
-
 class _Tree:
     """What every layer reads off a game's tree, derived once per ``Game``.
 
-    The preorder ``walk`` and the first canonical-form ``violation`` are
-    taken when the index is made; the tie flag on first use, since
-    ``canonicalize``'s intermediate games never need it. The index keeps
-    the payoff maps it reads, not the game, so it makes no reference cycle.
+    The tree from the root in preorder, children in action order:
+    ``order[i]`` is the element at position ``i``, ``pos`` the inverse, and
+    its subtree fills positions ``i`` to ``end[i] - 1``, so ``x`` is a
+    strict descendant of ``y`` iff ``pos[y] < pos[x] < end[pos[y]]``.
+    ``parent`` maps all but the root to their (node, action) edge. If the
+    successor map is not a tree, the first element reached twice is
+    ``revisited``. The first canonical-form ``violation`` is taken when the
+    index is made; the tie flag on first use, since ``canonicalize``'s
+    intermediate games never need it. The index keeps the payoff maps it
+    reads, not the game, so it makes no reference cycle.
     """
 
     def __init__(self, game: Game) -> None:
-        self.walk = _walk(game)
-        self.violation = _canonical_violation(game, self.walk)
+        order: list[str] = []
+        pos: dict[str, int] = {}
+        parent: dict[str, tuple[str, str]] = {}
+        revisited = None
+        stack: list[tuple[str, tuple[str, str] | None]] = [(game.root, None)]
+        while stack:
+            element, via = stack.pop()
+            if element in pos:
+                revisited = element if revisited is None else revisited
+                continue
+            pos[element] = len(order)
+            order.append(element)
+            if via is not None:
+                parent[element] = via
+            edges = [(element, a) for a in game.action_map.get(element, ()) if (element, a) in game.successor_map]
+            stack.extend((game.successor_map[edge], edge) for edge in reversed(edges))
+        end = list(range(1, len(order) + 1))
+        for i in range(len(order) - 1, 0, -1):
+            up = pos[parent[order[i]][0]]
+            end[up] = max(end[up], end[i])
+        self.order, self.pos, self.end, self.parent, self.revisited = order, pos, end, parent, revisited
+        self.violation = _canonical_violation(game, self)
         self._payoffs = game.players, game.outcomes, game.utility_map
 
     @cached_property
@@ -207,6 +191,9 @@ def _structural_issues(game: Game) -> list[ValidationIssue]:
                 err("UNKNOWN_ACTION", f"node {node!r} offers undeclared action {action!r}", [node, action])
         if len(set(available)) != len(available):
             err("DUPLICATE_ACTION", f"node {node!r} lists an action twice", [node])
+    for node in game.player_map:
+        if node not in node_set:
+            err("UNKNOWN_NODE", f"player declared for unknown node {node!r}", [node])
 
     seen_children: dict[str, tuple[str, str]] = {}
     for (node, action), child in game.successor_map.items():
@@ -243,7 +230,7 @@ def _structural_issues(game: Game) -> list[ValidationIssue]:
                 sorted(parentless.symmetric_difference({game.root})),
             )
         else:
-            unreachable = elements - game._tree.walk.pos.keys()
+            unreachable = elements - game._tree.pos.keys()
             if unreachable:
                 err("FOREST", "nodes or outcomes unreachable from the root", sorted(unreachable))
 
@@ -251,6 +238,7 @@ def _structural_issues(game: Game) -> list[ValidationIssue]:
     assigned: dict[str, str] = {}
     for label, members in game.infosets.items():
         if not members:
+            err("EMPTY_INFOSET", f"information set {label!r} has no nodes", [label])
             continue
         for node in members:
             if node not in node_set:
@@ -288,14 +276,14 @@ def game_has_ties(game: Game) -> bool:
     return game._tree.has_ties
 
 
-def _canonical_violation(game: Game, walk: _Walk) -> tuple[str, str, str] | None:
+def _canonical_violation(game: Game, tree: _Tree) -> tuple[str, str, str] | None:
     """First (cell, ancestor, descendant) with both ends in one cell.
 
     The ancestor is the first such node in preorder, the descendant its
     first same-cell descendant in cell order. Sorted by position, a cell
     member has a same-cell descendant iff the next member is in its subtree.
     """
-    pos, end = walk.pos, walk.end
+    pos, end = tree.pos, tree.end
     first: tuple[int, str] | None = None
     for label, members in game.infosets.items():
         spots = sorted(pos[node] for node in members if node in pos)
@@ -308,7 +296,7 @@ def _canonical_violation(game: Game, walk: _Walk) -> tuple[str, str, str] | None
         return None
     here, label = first
     below = next(node for node in game.infosets[label] if here < pos.get(node, -1) < end[here])
-    return label, walk.order[here], below
+    return label, tree.order[here], below
 
 
 def is_canonical(game: Game) -> bool:
@@ -329,14 +317,14 @@ def canonicalize(game: Game) -> Game:
     """
     current = game
     while True:
-        walk = current._tree.walk
-        if walk.revisited is not None:
-            raise ValueError(f"{walk.revisited!r} is reached twice from the root; the game is not a tree")
-        violation = current._tree.violation
+        tree = current._tree
+        if tree.revisited is not None:
+            raise ValueError(f"{tree.revisited!r} is reached twice from the root; the game is not a tree")
+        violation = tree.violation
         if violation is None:
             return current
         _, ancestor, node = violation
-        pos, end, here = walk.pos, walk.end, walk.pos[node]
+        pos, end, here = tree.pos, tree.end, tree.pos[node]
         for kept_action in current.action_map[ancestor]:
             branch = pos[current.successor_map[(ancestor, kept_action)]]
             if branch <= here < end[branch]:
@@ -346,8 +334,8 @@ def canonicalize(game: Game) -> Game:
         keep = current.successor_map[(node, kept_action)]
         # The node's subtree less the kept child's: two ranges of the walk.
         kept = pos[keep]
-        dead = {*walk.order[here:kept], *walk.order[end[kept] : end[here]]}
-        parent_node, parent_action = walk.parent[node]
+        dead = {*tree.order[here:kept], *tree.order[end[kept] : end[here]]}
+        parent_node, parent_action = tree.parent[node]
 
         new_successors: dict[tuple[str, str], str] = {}
         for (n, a), child in current.successor_map.items():
@@ -389,15 +377,15 @@ def has_perfect_recall(game: Game) -> bool:
     different own past moves would be able to distinguish, which is a
     recall failure.
     """
-    walk = game._tree.walk
+    tree = game._tree
     cell_of = {node: label for label, members in game.infosets.items() for node in members}
     # Each player's experience, the (cell, action) pairs of their own moves
     # on the root path, carried down as an id: equal ids, equal experiences.
     ids: dict[tuple[int, str, str], int] = {}
     experience: dict[str, dict[str, int]] = {game.root: {}}
-    for element in walk.order[1:]:
+    for element in tree.order[1:]:
         if element in game.player_map:
-            node, action = walk.parent[element]
+            node, action = tree.parent[element]
             player = game.player_map[node]
             mine = ids.setdefault((experience[node].get(player, 0), cell_of[node], action), len(ids) + 1)
             experience[element] = {**experience[node], player: mine}

@@ -10,9 +10,9 @@ that is reached no matter what. The surviving set shrinks until nothing
 more can be discarded; with tie-free payoffs the fixpoint is a singleton
 or empty, never larger.
 
-The game's preorder walk, its canonical-form check and its tie flag are
-computed once per ``Game`` object and shared with validation; ``solve``
-reads the check and compiles the walk into integer bitmasks in
+The game's tree index (its preorder walk, canonical-form check and tie
+flag) is built once per ``Game`` object and shared with validation;
+``solve`` reads the check and compiles the walk into integer bitmasks in
 payoff-rank space. Each player sorts the outcomes by their own payoff
 (ties in declaration order), so bit ``r`` of one of their masks stands
 for their ``r``-th worst outcome and ``first[r]`` is the first rank
@@ -127,17 +127,17 @@ class _Index:
     """The game compiled for one solve from its preorder walk: ranks, cell masks, action masks."""
 
     def __init__(self, game: Game) -> None:
-        walk = game._tree.walk
-        if walk.revisited is not None:
-            raise ValueError(f"{walk.revisited!r} is reached twice from the root; the game is not a tree")
-        self.parent = walk.parent
+        tree = game._tree
+        if tree.revisited is not None:
+            raise ValueError(f"{tree.revisited!r} is reached twice from the root; the game is not a tree")
+        self.parent = tree.parent
         self.outcome_position = {z: i for i, z in enumerate(game.outcomes)}
         cell_players = {label: game.cell_player(label) for label in game.infosets}
         self.ranks = {player: _Ranks(game, player) for player in dict.fromkeys(cell_players.values())}
         below: dict[str, dict[str, int]] = {}
         for player, ranks in self.ranks.items():
             masks: dict[str, int] = {}
-            for element in reversed(walk.order):
+            for element in reversed(tree.order):
                 if element in game.player_map:
                     mask = 0
                     for a in game.action_map[element]:
@@ -230,35 +230,6 @@ def _step(
             witnesses.setdefault(z, []).append((cell.player, cell.label))
             below ^= low
     return maximins, {z: tuple(witnesses[z]) for z in sorted(witnesses, key=index.outcome_position.__getitem__)}
-
-
-def reached_infosets(game: Game, surviving: frozenset[str]) -> frozenset[str]:
-    """Cells the play is certain to cross: every survivor sits below them."""
-    if not surviving:
-        raise ValueError("the surviving set must be nonempty")
-    index = _Index(game)
-    return frozenset(cell.label for cell in _reached(index, index.live(surviving)))
-
-
-def maximin(game: Game, surviving: frozenset[str], cell: str) -> tuple[Fraction, str]:
-    """Best guaranteed payoff for the cell's player, over live actions.
-
-    Only actions whose subtrees still intersect the surviving set count;
-    each is valued by its worst surviving payoff. Ties between actions
-    break toward the cell's action declaration order.
-    """
-    index = _Index(game)
-    compiled = index.cells[cell]
-    worst, action, _ = _maximin(index.live(surviving), compiled)
-    return compiled.ranks.values[worst], action
-
-
-def preempted(game: Game, surviving: frozenset[str], reached: frozenset[str]) -> frozenset[str]:
-    """Outcomes paying some player less than a reached-cell guarantee."""
-    index = _Index(game)
-    cells = [cell for cell in index.cells.values() if cell.label in reached]
-    _, by = _step(index, index.live(surviving), cells)
-    return frozenset(by)
 
 
 def solve(game: Game) -> SolveResult:

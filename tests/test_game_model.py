@@ -19,7 +19,7 @@ from ptesolver import (
 )
 from ptesolver import game as game_module
 from ptesolver.cli import run
-from ptesolver.game import _walk
+from ptesolver.game import _Tree
 
 from conftest import (
     FIXTURES,
@@ -98,6 +98,18 @@ class TestValidate:
         doubled = one_shot_game(infosets={"i0": ("n0",), "i1": ("n0",)})
         assert "PARTITION_OVERLAP" in {i.code for i in validate_game(doubled).errors}
 
+    def test_empty_cell_is_reported(self, pd_game):
+        # solve would otherwise fail reading the empty cell's first member.
+        game = replace(pd_game, infosets={**pd_game.infosets, "ghost": ()})
+        report = validate_game(game)
+        assert [(issue.code, issue.ids) for issue in report.errors] == [("EMPTY_INFOSET", ("ghost",))]
+
+    def test_player_of_an_undeclared_node_is_reported(self, pd_game):
+        # solve and naive_solve would otherwise take the outcome for a choice node.
+        game = replace(pd_game, player_map={**pd_game.player_map, "C,c": "Row"})
+        report = validate_game(game)
+        assert [(issue.code, issue.ids) for issue in report.errors] == [("UNKNOWN_NODE", ("C,c",))]
+
     def test_missing_utility(self):
         game = one_shot_game(utility_map={("P", "z0"): Fraction(1)})
         assert "MISSING_UTILITY" in {i.code for i in validate_game(game).errors}
@@ -151,15 +163,15 @@ class TestNavigation:
         # Each element's preorder interval starts at itself and holds exactly its subtree.
         for seed in range(20):
             game = entangle(random_tree_game(seed), seed)
-            walk = _walk(game)
+            tree = _Tree(game)
             paths = root_paths(game)
-            assert walk.order[0] == game.root and walk.revisited is None
+            assert tree.order[0] == game.root and tree.revisited is None
             for element in game.choice_nodes + game.outcomes:
-                i = walk.pos[element]
-                assert walk.order[i] == element
-                assert set(walk.order[i : walk.end[i]]) == subtree(game, element)
+                i = tree.pos[element]
+                assert tree.order[i] == element
+                assert set(tree.order[i : tree.end[i]]) == subtree(game, element)
                 if element != game.root:
-                    assert walk.parent[element] == paths[element][-1]
+                    assert tree.parent[element] == paths[element][-1]
 
     def test_descendants_in_hexa_game(self, hexa_setup):
         game = build_game(hexa_setup)
@@ -248,7 +260,7 @@ def subtree_set_canonicalize(game: Game) -> Game:
         )
         keep = current.successor_map[(node, kept_action)]
         dead = descendants(current, node) - descendants(current, keep)
-        parent_edge = current._tree.walk.parent[node]
+        parent_edge = current._tree.parent[node]
         current = Game(
             players=current.players,
             actions=current.actions,
@@ -384,11 +396,11 @@ class TestEmbedNormalForm:
 
 
 class TestTreeIndex:
-    """The walk, canonical check and tie flag are derived once per Game object and kept with it."""
+    """The tree index (walk, canonical check, tie flag) is built once per Game object and kept with it."""
 
     @pytest.mark.parametrize("argv", [["solve"], ["solve", "--quiet"], ["export-dot"], ["validate"]])
     def test_a_command_walks_and_checks_once(self, argv, monkeypatch, capsys):
-        calls = {"walk": 0, "check": 0}
+        calls = {"tree": 0, "check": 0}
 
         def counted(name, real):
             def call(*args):
@@ -397,14 +409,14 @@ class TestTreeIndex:
 
             return call
 
-        monkeypatch.setattr(game_module, "_walk", counted("walk", game_module._walk))
+        monkeypatch.setattr(game_module, "_Tree", counted("tree", game_module._Tree))
         monkeypatch.setattr(game_module, "_canonical_violation", counted("check", game_module._canonical_violation))
         assert run([*argv, str(FIXTURES / "prisoners_dilemma.json")]) == 0
-        assert calls == {"walk": 1, "check": 1}
+        assert calls == {"tree": 1, "check": 1}
 
     def test_solve_reads_the_index_validation_made(self, pd_game, monkeypatch):
         validate_game(pd_game)
-        monkeypatch.setattr(game_module, "_walk", None)  # a second walk would fail
+        monkeypatch.setattr(game_module, "_Tree", None)  # a second index would fail
         assert solve(pd_game).fixpoint == frozenset({"C,c"})
         assert game_has_ties(pd_game) is False and is_canonical(pd_game) and has_perfect_recall(pd_game)
 
@@ -429,7 +441,9 @@ class TestTreeIndex:
                 continue
             assert pruned._tree is not game._tree and game._tree.violation == violation
             assert pruned._tree.violation is None
-            assert pruned._tree.walk == game_module._walk(pruned)
+            fresh = _Tree(pruned)
+            for name in ("order", "pos", "end", "parent", "revisited", "violation"):
+                assert getattr(pruned._tree, name) == getattr(fresh, name)
 
     def test_the_index_is_not_part_of_the_game(self, pd_game):
         fresh = embed_normal_form(PD_MATRIX, PD_PLAYERS, PD_ACTIONS)

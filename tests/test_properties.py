@@ -8,14 +8,17 @@ replaced, which re-walk a subtree per node and climb a root path per
 cell member. The float-first sort key, the indented writer and the tie
 check are compared with what they stand in for: the Fraction order,
 ``json.dumps(x, indent=2)`` and a set of the payoff Fractions. Game and
-setup documents round-trip through their parsers.
+setup documents round-trip through their parsers, and a spacelike setup
+builds its normal-form embedding.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +29,9 @@ from ptesolver import (
     Game,
     NotCanonicalError,
     SpacetimeSetup,
+    build_game,
     canonicalize,
+    embed_normal_form,
     game_has_ties,
     has_perfect_recall,
     is_canonical,
@@ -36,6 +41,7 @@ from ptesolver import (
     serialize_game,
     serialize_setup,
     solve,
+    total_order,
     validate_game,
     validate_setup,
 )
@@ -312,3 +318,56 @@ def setups(draw) -> SpacetimeSetup:
 @given(setups())
 def test_setup_documents_round_trip(setup):
     assert parse_setup(serialize_setup(setup)) == setup
+
+
+@st.composite
+def spacelike_normal_forms(draw) -> tuple[SpacetimeSetup, dict[tuple[str, ...], tuple[int, ...]]]:
+    """2-5 pairwise spacelike points, one agent each, at most 64 profiles, tie-free payoffs.
+
+    Point k sits at x = 10k with t in 0..3, so no two points are in causal
+    contact, and the total order (by time first) may reorder the
+    declaration. The matrix is keyed by profiles in total order.
+    """
+    agents = tuple(f"P{k}" for k in range(draw(st.integers(2, 5))))
+    action_lists = []
+    for _ in agents:
+        most = min(3, 64 // math.prod(map(len, action_lists)))
+        action_lists.append(tuple(f"a{j}" for j in range(draw(st.integers(1, most)))))
+    points = tuple(
+        DecisionPoint(agent, agent, (Fraction(10 * k), Fraction(draw(st.integers(0, 3)))), actions)
+        for k, (agent, actions) in enumerate(zip(agents, action_lists))
+    )
+    setup = SpacetimeSetup(
+        dimension=2,
+        agents=agents,
+        actions=tuple(f"a{j}" for j in range(max(map(len, action_lists)))),
+        points=points,
+        contingency={},
+        utilities={},
+    )
+    ordered = total_order(setup)
+    profiles = list(product(*(point.actions for point in ordered)))
+    columns = [draw(st.permutations(range(1, len(profiles) + 1))) for _ in agents]
+    matrix = {profile: tuple(column[i] for column in columns) for i, profile in enumerate(profiles)}
+    utilities = {
+        ",".join(profile): {point.agent: Fraction(v) for point, v in zip(ordered, payoffs)}
+        for profile, payoffs in matrix.items()
+    }
+    return replace(setup, utilities=utilities), matrix
+
+
+@PROPERTY_SETTINGS
+@given(spacelike_normal_forms())
+def test_spacelike_setup_builds_its_normal_form_embedding(drawn):
+    setup, matrix = drawn
+    ordered = total_order(setup)
+    built = build_game(setup)
+    embedded = embed_normal_form(matrix, [p.agent for p in ordered], [p.actions for p in ordered])
+    # The build lists choice nodes in preorder and its players as declared,
+    # the embedding both level by level in the total order.
+    assert sorted(built.choice_nodes) == sorted(embedded.choice_nodes)
+    assert sorted(built.players) == sorted(embedded.players)
+    assert built == replace(embedded, players=built.players, choice_nodes=built.choice_nodes)
+    by_build, by_embedding = solve(built), solve(embedded)
+    assert by_build.fixpoint == by_embedding.fixpoint
+    assert len(by_build.steps) == len(by_embedding.steps)

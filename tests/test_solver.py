@@ -14,11 +14,9 @@ from ptesolver import (
     build_game,
     embed_normal_form,
     is_canonical,
-    maximin,
-    preempted,
-    reached_infosets,
     solve,
 )
+from ptesolver.solver import _Index, _maximin, _reached, _step
 
 from conftest import actions_taken, entangle, random_tree_game
 
@@ -57,36 +55,45 @@ def returns_within(seconds: float, call):
     return box[0]
 
 
+def compiled(game: Game, surviving: frozenset[str]):
+    """The solver's index of ``game`` and each cell player's live mask of ``surviving``."""
+    index = _Index(game)
+    return index, index.live(surviving)
+
+
+def reached_labels(game: Game, surviving: frozenset[str]) -> frozenset[str]:
+    index, live = compiled(game, surviving)
+    return frozenset(cell.label for cell in _reached(index, live))
+
+
 class TestReachedInfosets:
     def test_all_outcomes_reach_the_root_cell(self, pd_game):
-        reached = reached_infosets(pd_game, PD_OUTCOMES)
-        assert "Row" in reached
+        assert "Row" in solve(pd_game).steps[0].reached
 
     def test_pd_reaches_both_cells_at_step_zero(self, pd_game):
-        assert reached_infosets(pd_game, PD_OUTCOMES) == {"Row", "Col"}
+        first = solve(pd_game).steps[0]
+        assert first.surviving == PD_OUTCOMES
+        assert first.reached == {"Row", "Col"}
 
     def test_singleton_reaches_every_cell_on_its_path(self, hexa_setup):
         game = build_game(hexa_setup)
-        reached = reached_infosets(game, frozenset({"2,_,5,7,10,12"}))
+        reached = reached_labels(game, frozenset({"2,_,5,7,10,12"}))
         assert reached == {"a", "c", "d", "e", "f"}
-
-    def test_empty_surviving_set_is_rejected(self, pd_game):
-        with pytest.raises(ValueError):
-            reached_infosets(pd_game, frozenset())
 
     def test_partial_survivors_in_hexa_game(self, hexa_setup):
         game = build_game(hexa_setup)
         survivors = frozenset({"1,3,_,8,_,_", "2,_,6,8,_,_"})
-        assert reached_infosets(game, survivors) == {"a", "d"}
+        assert reached_labels(game, survivors) == {"a", "d"}
 
 
 class TestMaximin:
     def test_pd_step_zero_row(self, pd_game):
-        assert maximin(pd_game, PD_OUTCOMES, "Row") == (Fraction(1), "D")
+        assert solve(pd_game).steps[0].maximins["Row"] == (Fraction(1), "D")
 
     def test_pd_step_one_row(self, pd_game):
-        survivors = frozenset({"C,c", "D,d"})
-        assert maximin(pd_game, survivors, "Row") == (Fraction(3), "C")
+        second = solve(pd_game).steps[1]
+        assert second.surviving == {"C,c", "D,d"}
+        assert second.maximins["Row"] == (Fraction(3), "C")
 
     def test_single_action_cell(self):
         game = embed_normal_form(
@@ -94,29 +101,32 @@ class TestMaximin:
             ("A", "B"),
             (("only",), ("l", "r")),
         )
-        value, action = maximin(game, frozenset(game.outcomes), "A")
-        assert (value, action) == (Fraction(2), "only")
+        first = solve(game).steps[0]
+        assert first.surviving == frozenset(game.outcomes)
+        assert first.maximins["A"] == (Fraction(2), "only")
 
     def test_actions_without_survivors_are_skipped(self, pd_game):
-        survivors = frozenset({"D,c", "D,d"})
-        value, action = maximin(pd_game, survivors, "Row")
-        assert (value, action) == (Fraction(1), "D")
+        index, live = compiled(pd_game, frozenset({"D,c", "D,d"}))
+        cell = index.cells["Row"]
+        worst, action, _ = _maximin(live, cell)
+        assert (cell.ranks.values[worst], action) == (Fraction(1), "D")
 
 
 class TestPreempted:
     def test_pd_step_zero(self, pd_game):
-        reached = reached_infosets(pd_game, PD_OUTCOMES)
-        assert preempted(pd_game, PD_OUTCOMES, reached) == {"C,d", "D,c"}
+        first = solve(pd_game).steps[0]
+        assert first.surviving == PD_OUTCOMES
+        assert first.preempted == {"C,d", "D,c"}
 
     def test_pd_step_one(self, pd_game):
-        survivors = frozenset({"C,c", "D,d"})
-        reached = reached_infosets(pd_game, survivors)
-        assert preempted(pd_game, survivors, reached) == {"D,d"}
+        second = solve(pd_game).steps[1]
+        assert second.surviving == {"C,c", "D,d"}
+        assert second.preempted == {"D,d"}
 
     def test_lone_survivor_is_never_preempted(self, pd_game):
-        survivors = frozenset({"D,c"})
-        reached = reached_infosets(pd_game, survivors)
-        assert preempted(pd_game, survivors, reached) == frozenset()
+        index, live = compiled(pd_game, frozenset({"D,c"}))
+        _, by = _step(index, live, _reached(index, live))
+        assert by == {}
 
 
 class TestSolve:
