@@ -12,16 +12,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .formats import (
     ParseError,
     _indented_json,
+    _verdict,
+    _write_trace,
     export_dot,
     game_to_jsonable,
     parse_game,
     parse_setup,
     serialize_game,
-    trace_to_jsonable,
 )
 from .game import canonicalize, validate_game
 from .oracle import naive_solve, search_empty_pte
@@ -78,11 +80,10 @@ def _cmd_canonicalize(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     game = _load_valid_game(args.input)
     result = solve(game)
-    trace = trace_to_jsonable(game, result)
     if args.quiet:
-        print(json.dumps(trace[-1]))
+        print(json.dumps(_verdict(game, result)))
     else:
-        print(_indented_json(trace))
+        _write_trace(sys.stdout, game, result)
     return STATUS_EXIT.get(result.status, 0)
 
 
@@ -184,8 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as exc:

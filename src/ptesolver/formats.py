@@ -10,9 +10,10 @@ status/equilibrium object. DOT output is deterministic byte for byte.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Mapping
+from typing import Any, Iterator, Sequence, TextIO
 
 from .exact import _digit_limit, format_exact, parse_exact
 from .game import Game
@@ -52,12 +53,42 @@ def _require_str_list(value: Any, path: str) -> list[str]:
     return value
 
 
+class _Encoded(list):
+    """Strings already encoded as JSON, which ``_indented_json`` lays out as they are."""
+
+
 def _indented_json(value: Any, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` for the JSON-native values documents hold.
 
     CPython's C encoder skips indented output; here strings still go
-    through it, and only the layout is built in Python.
+    through it, and only the layout is built in Python. Strings and ints
+    inside a container are written without a call of their own.
     """
+    inner = newline + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        if type(value) is _Encoded:
+            items = value
+        else:
+            items = [
+                encode_basestring_ascii(item) if type(item) is str else _indented_json(item, inner) for item in value
+            ]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(k)
+            + ": "
+            + (
+                encode_basestring_ascii(v)
+                if type(v) is str
+                else int.__repr__(v) if type(v) is int else _indented_json(v, inner)
+            )
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -68,19 +99,6 @@ def _indented_json(value: Any, newline: str = "\n") -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        items = [
-            encode_basestring_ascii(item) if type(item) is str else _indented_json(item, inner) for item in value
-        ]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _indented_json(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -337,37 +355,66 @@ def serialize_setup(setup: SpacetimeSetup) -> str:
     return _indented_json(setup_to_jsonable(setup)) + "\n"
 
 
-def trace_to_jsonable(game: Game, result: SolveResult) -> list:
-    """The full elimination trace: one object per step, then the verdict."""
+def _cut(items: list, cuts: list[int]) -> list:
+    """``items`` without the entries at the ascending indices ``cuts``."""
+    kept = items[: cuts[0]]
+    for here, after in zip(cuts, cuts[1:]):
+        kept += items[here + 1 : after]
+    kept += items[cuts[-1] + 1 :]
+    return kept
+
+
+def _trace_steps(game: Game, result: SolveResult, names: Sequence[str]) -> Iterator[dict]:
+    """Each step's trace object, in order: the one definition of what a step reports.
+
+    A step lists its survivors in declaration order, as ``names[i]`` for
+    the ``i``-th outcome: the previous step's list less the outcomes that
+    step preempted, since each step of a solve starts from the survivors
+    of the last. Only the first step's ``surviving`` set is read, and a
+    step preempting an outcome that does not survive it is refused.
+    """
     cell_position = {cell: i for i, cell in enumerate(game.infosets)}
     outcome_position = {z: i for i, z in enumerate(game.outcomes)}
-    steps = []
+    first = result.steps[0].surviving if result.steps else frozenset()
+    spots = [i for i, z in enumerate(game.outcomes) if z in first]
+    survivors = [names[i] for i in spots]
     for state in result.steps:
         cells = sorted(state.reached, key=cell_position.__getitem__)
-        steps.append(
-            {
-                "step": state.step,
-                "surviving": [z for z in game.outcomes if z in state.surviving],
-                "reached_infosets": cells,
-                "maximins": [
-                    {
-                        "infoset": cell,
-                        "player": game.cell_player(cell),
-                        "value": format_exact(state.maximins[cell][0]),
-                        "action": state.maximins[cell][1],
-                    }
-                    for cell in cells
-                ],
-                "preempted": [
-                    {
-                        "outcome": z,
-                        "player": state.preempted_by[z][0][0],
-                        "infoset": state.preempted_by[z][0][1],
-                    }
-                    for z in sorted(state.preempted, key=outcome_position.__getitem__)
-                ],
-            }
-        )
+        preempted = sorted(state.preempted, key=outcome_position.__getitem__)
+        yield {
+            "step": state.step,
+            "surviving": survivors,
+            "reached_infosets": cells,
+            "maximins": [
+                {
+                    "infoset": cell,
+                    "player": game.cell_player(cell),
+                    "value": format_exact(state.maximins[cell][0]),
+                    "action": state.maximins[cell][1],
+                }
+                for cell in cells
+            ],
+            "preempted": [
+                {
+                    "outcome": z,
+                    "player": state.preempted_by[z][0][0],
+                    "infoset": state.preempted_by[z][0][1],
+                }
+                for z in preempted
+            ],
+        }
+        if preempted:
+            cuts = []
+            for z in preempted:
+                i = bisect_left(spots, outcome_position[z])
+                if i == len(spots) or spots[i] != outcome_position[z]:
+                    raise ValueError(f"step {state.step} preempts {z!r}, which does not survive it")
+                cuts.append(i)
+            survivors, spots = _cut(survivors, cuts), _cut(spots, cuts)
+
+
+def _verdict(game: Game, result: SolveResult) -> dict:
+    """The trace's last object: the status and the equilibrium, if any."""
     ordered_fixpoint = [z for z in game.outcomes if z in result.fixpoint]
     equilibrium: Any
     if len(ordered_fixpoint) == 1:
@@ -376,8 +423,26 @@ def trace_to_jsonable(game: Game, result: SolveResult) -> list:
         equilibrium = None
     else:
         equilibrium = ordered_fixpoint
-    steps.append({"status": result.status, "equilibrium": equilibrium})
-    return steps
+    return {"status": result.status, "equilibrium": equilibrium}
+
+
+def trace_to_jsonable(game: Game, result: SolveResult) -> list:
+    """The full elimination trace: one object per step, then the verdict."""
+    return [*_trace_steps(game, result, game.outcomes), _verdict(game, result)]
+
+
+def _write_trace(out: TextIO, game: Game, result: SolveResult) -> None:
+    """Write ``_indented_json(trace_to_jsonable(game, result))`` and a newline, one step at a time.
+
+    Each outcome id is encoded once, and a step's survivor list is joined
+    from the encoded ids, so the cost follows the size of the text.
+    """
+    names = [encode_basestring_ascii(z) for z in game.outcomes]
+    out.write("[")
+    for step in _trace_steps(game, result, names):
+        step["surviving"] = _Encoded(step["surviving"])
+        out.write("\n  " + _indented_json(step, "\n  ") + ",")
+    out.write("\n  " + _indented_json(_verdict(game, result), "\n  ") + "\n]\n")
 
 
 def _dot_escape(text: str) -> str:
@@ -395,6 +460,7 @@ def export_dot(game: Game, result: SolveResult, step: int) -> str:
     if step < 0 or step >= len(result.steps):
         raise ValueError(f"step {step} outside trace range 0..{len(result.steps) - 1}")
     state = result.steps[step]
+    surviving = state.surviving
     node_ids = {element: f"n{i}" for i, element in enumerate(game.choice_nodes)}
     node_ids.update({element: f"z{i}" for i, element in enumerate(game.outcomes)})
 
@@ -418,9 +484,9 @@ def export_dot(game: Game, result: SolveResult, step: int) -> str:
         payoffs = ", ".join(str(format_exact(game.utility_map[(p, z)])) for p in game.players)
         label = _dot_escape(f"{z}\n({payoffs})")
         attrs = [f'shape=box, label="{label}"']
-        if z not in state.surviving:
+        if z not in surviving:
             attrs.append("style=filled, fillcolor=gray, fontcolor=gray30")
-        elif len(state.surviving) == 1:
+        elif len(surviving) == 1:
             attrs.append("peripheries=2, penwidth=2")
         lines.append(f"  {node_ids[z]} [{', '.join(attrs)}];")
     for node in game.choice_nodes:

@@ -101,7 +101,8 @@ class _Tree:
     ``order[i]`` is the element at position ``i``, ``pos`` the inverse, and
     its subtree fills positions ``i`` to ``end[i] - 1``, so ``x`` is a
     strict descendant of ``y`` iff ``pos[y] < pos[x] < end[pos[y]]``.
-    ``parent`` maps all but the root to their (node, action) edge. If the
+    ``parent`` maps all but the root to their (node, action) edge, and
+    ``up[i]`` is the position of that node (-1 for the root). If the
     successor map is not a tree, the first element reached twice is
     ``revisited``. The first canonical-form ``violation`` is taken when the
     index is made; the tie flag on first use, since ``canonicalize``'s
@@ -127,10 +128,11 @@ class _Tree:
             edges = [(element, a) for a in game.action_map.get(element, ()) if (element, a) in game.successor_map]
             stack.extend((game.successor_map[edge], edge) for edge in reversed(edges))
         end = list(range(1, len(order) + 1))
+        up = [-1] * len(order)
         for i in range(len(order) - 1, 0, -1):
-            up = pos[parent[order[i]][0]]
-            end[up] = max(end[up], end[i])
-        self.order, self.pos, self.end, self.parent, self.revisited = order, pos, end, parent, revisited
+            up[i] = above = pos[parent[order[i]][0]]
+            end[above] = max(end[above], end[i])
+        self.order, self.pos, self.end, self.up, self.parent, self.revisited = order, pos, end, up, parent, revisited
         self.violation = _canonical_violation(game, self)
         self._payoffs = game.players, game.outcomes, game.utility_map
 

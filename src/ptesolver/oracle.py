@@ -122,6 +122,13 @@ def naive_solve(game: Game) -> SolveResult:
     is read off the path. Must agree with :func:`ptesolver.solver.solve`
     step for step.
     """
+    declared = set(game.choice_nodes)
+    for element in game.player_map:
+        if element not in declared:
+            raise ValueError(f"{element!r} has a player but is not a declared choice node")
+    for label, members in game.infosets.items():
+        if not members:
+            raise ValueError(f"information set {label!r} has no members")
     paths = _paths(game)
     cell_of = {node: label for label, members in game.infosets.items() for node in members}
 

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .game import Game
 
@@ -53,22 +53,73 @@ class NotCanonicalError(ValueError):
     """Raised when a game violates canonical form, naming the cell."""
 
 
-@dataclass(frozen=True)
 class SolverState:
-    """Snapshot of one elimination step.
+    """Snapshot of one elimination step; read-only.
 
     ``maximins`` maps each reached cell to (guaranteed value, first
     maximizing action in the cell's action order); ``preempted_by`` maps
     each outcome eliminated this step to every (player, cell) witness in
-    cell declaration order.
+    cell declaration order. ``surviving`` is a new frozenset on each
+    access: the states of one ``solve`` share the order in which outcomes
+    are eliminated, the fixpoint last, and a state keeps only where its
+    survivors start in it, so a step stores its change, not its survivors.
     """
 
+    __slots__ = ("step", "reached", "maximins", "preempted", "preempted_by", "_survivors", "_start")
+
     step: int
-    surviving: frozenset[str]
     reached: frozenset[str]
     maximins: Mapping[str, tuple[Fraction, str]]
     preempted: frozenset[str]
     preempted_by: Mapping[str, tuple[tuple[str, str], ...]]
+
+    def __init__(
+        self,
+        step: int,
+        surviving: Collection[str],
+        reached: frozenset[str],
+        maximins: Mapping[str, tuple[Fraction, str]],
+        preempted: frozenset[str],
+        preempted_by: Mapping[str, tuple[tuple[str, str], ...]],
+        _start: int = 0,
+    ) -> None:
+        """``_start`` is for ``solve``: ``surviving`` is then its elimination order and the survivors its tail."""
+        set_field = object.__setattr__
+        set_field(self, "step", step)
+        set_field(self, "reached", reached)
+        set_field(self, "maximins", maximins)
+        set_field(self, "preempted", preempted)
+        set_field(self, "preempted_by", preempted_by)
+        set_field(self, "_survivors", surviving)
+        set_field(self, "_start", _start)
+
+    @property
+    def surviving(self) -> frozenset[str]:
+        survivors = self._survivors
+        return frozenset(survivors[self._start :] if self._start else survivors)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return self.step, self.surviving, self.reached, self.maximins, self.preempted, self.preempted_by
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self) -> tuple:
+        return SolverState, self._fields()
+
+    def __repr__(self) -> str:
+        names = ("step", "surviving", "reached", "maximins", "preempted", "preempted_by")
+        return f"SolverState({', '.join(f'{n}={v!r}' for n, v in zip(names, self._fields()))})"
 
 
 @dataclass(frozen=True)
@@ -96,7 +147,8 @@ class _Ranks:
     """One player's outcomes sorted by payoff; ties keep declaration order."""
 
     def __init__(self, game: Game, player: str) -> None:
-        keyed = sorted(((_exact_key(game.utility(player, z)), z) for z in game.outcomes), key=itemgetter(0))
+        utility = game.utility_map
+        keyed = sorted(((_exact_key(utility[player, z]), z) for z in game.outcomes), key=itemgetter(0))
         self.outcomes = [z for _, z in keyed]
         self.rank = {z: r for r, z in enumerate(self.outcomes)}
         self.values = [key[1] for key, _ in keyed]
@@ -112,8 +164,7 @@ class _Ranks:
         return result
 
 
-@dataclass(frozen=True)
-class _Cell:
+class _Cell(NamedTuple):
     """A cell's outcome masks, in its player's ranks; actions in cell order."""
 
     label: str
@@ -124,54 +175,60 @@ class _Cell:
 
 
 class _Index:
-    """The game compiled for one solve from its preorder walk: ranks, cell masks, action masks."""
+    """The game compiled for one solve from its preorder walk: ranks, cell masks, action masks.
+
+    One pass per cell player ORs each position's outcome bits into its
+    parent's, children before parents, and reads that player's cells off
+    the result; the per-position masks are dropped before the next player.
+    """
 
     def __init__(self, game: Game) -> None:
         tree = game._tree
         if tree.revisited is not None:
             raise ValueError(f"{tree.revisited!r} is reached twice from the root; the game is not a tree")
-        self.parent = tree.parent
+        stray = game.player_map.keys() - set(game.choice_nodes)
+        if stray:
+            node = next(e for e in game.player_map if e in stray)
+            raise ValueError(f"{node!r} has a player but is not a declared choice node")
+        self.up = tree.up
+        self.pos = tree.pos
         self.outcome_position = {z: i for i, z in enumerate(game.outcomes)}
-        cell_players = {label: game.cell_player(label) for label in game.infosets}
-        self.ranks = {player: _Ranks(game, player) for player in dict.fromkeys(cell_players.values())}
-        below: dict[str, dict[str, int]] = {}
-        for player, ranks in self.ranks.items():
-            masks: dict[str, int] = {}
-            for element in reversed(tree.order):
-                if element in game.player_map:
-                    mask = 0
-                    for a in game.action_map[element]:
-                        mask |= masks[game.successor_map[(element, a)]]
-                    masks[element] = mask
-                else:
-                    masks[element] = 1 << ranks.rank[element]
-            below[player] = masks
-
-        self.cells: dict[str, _Cell] = {}
-        self.cells_at: dict[str, list[int]] = {}
-        for label, members in game.infosets.items():
-            player = cell_players[label]
-            masks = below[player]
-            actions = tuple(
-                (a, _union(masks[game.successor_map[(m, a)]] for m in members))
-                for a in game.cell_actions(label)
-            )
-            cell_mask = _union(masks[m] for m in members)
+        by_player: dict[str, list[tuple[int, str, tuple[str, ...]]]] = {}
+        self.cells_at: dict[int, list[int]] = {}
+        for i, (label, members) in enumerate(game.infosets.items()):
+            if not members:
+                raise ValueError(f"information set {label!r} has no members")
+            by_player.setdefault(game.player_map[members[0]], []).append((i, label, members))
             for m in members:
-                self.cells_at.setdefault(m, []).append(len(self.cells))
-            self.cells[label] = _Cell(label, player, self.ranks[player], cell_mask, actions)
-        self.cell_list = list(self.cells.values())
+                self.cells_at.setdefault(tree.pos[m], []).append(i)
+
+        cells_in_order: list[_Cell | None] = [None] * len(game.infosets)
+        self.ranks: dict[str, _Ranks] = {}
+        successor, action_map, pos, up = game.successor_map, game.action_map, tree.pos, tree.up
+        for player, cells in by_player.items():
+            ranks = self.ranks[player] = _Ranks(game, player)
+            masks = [0] * len(tree.order)
+            for r, z in enumerate(ranks.outcomes):
+                spot = pos.get(z)
+                if spot is not None:
+                    masks[spot] = 1 << r
+            for i in range(len(masks) - 1, 0, -1):
+                masks[up[i]] |= masks[i]
+            for i, label, members in cells:
+                actions = []
+                cell_mask = 0
+                for a in action_map[members[0]]:
+                    mask = 0
+                    for m in members:
+                        mask |= masks[pos[successor[m, a]]]
+                    actions.append((a, mask))
+                    cell_mask |= mask
+                cells_in_order[i] = _Cell(label, player, ranks, cell_mask, tuple(actions))
+        self.cells: list[_Cell] = cells_in_order  # type: ignore[assignment]
 
     def live(self, surviving: Collection[str]) -> dict[str, int]:
         """Each cell player's mask of the surviving outcomes."""
         return {player: ranks.mask(surviving) for player, ranks in self.ranks.items()}
-
-
-def _union(masks: Iterable[int]) -> int:
-    result = 0
-    for mask in masks:
-        result |= mask
-    return result
 
 
 def _reached(index: _Index, live: Mapping[str, int]) -> list[_Cell]:
@@ -181,16 +238,17 @@ def _reached(index: _Index, live: Mapping[str, int]) -> list[_Cell]:
     the root path of one survivor, the first cell player's worst, are
     tested. A survivor off the tree has no ancestors, and no cell is reached.
     """
-    positions: set[int] = set()
-    if index.cell_list:
-        first = index.cell_list[0]
-        pool = live[first.player]
-        element = first.ranks.outcomes[(pool & -pool).bit_length() - 1]
-        while element in index.parent:
-            element = index.parent[element][0]
-            positions.update(index.cells_at.get(element, ()))
-    cells = [index.cell_list[i] for i in sorted(positions)]
-    return [cell for cell in cells if not live[cell.player] & ~cell.mask]
+    cells = index.cells
+    if not cells:
+        return []
+    pool = live[cells[0].player]
+    spot = index.pos.get(cells[0].ranks.outcomes[(pool & -pool).bit_length() - 1], 0)
+    found: list[int] = []
+    while spot > 0:
+        spot = index.up[spot]
+        found += index.cells_at.get(spot, ())
+    found.sort()
+    return [cells[i] for i in found if not live[cells[i].player] & ~cells[i].mask]
 
 
 def _maximin(live: Mapping[str, int], cell: _Cell) -> tuple[int, str, int]:
@@ -238,6 +296,9 @@ def solve(game: Game) -> SolveResult:
     Eliminations within a step are simultaneous: the step removes the
     union over all players and reached cells. Terminates after at most
     one step per outcome, since every non-final step removes something.
+    Each step records its change; the outcomes eliminated so far form one
+    list, which ends with the fixpoint and from which every step's
+    ``surviving`` is read.
     """
     violation = game._tree.violation
     if violation is not None:
@@ -249,25 +310,26 @@ def solve(game: Game) -> SolveResult:
     has_ties = game._tree.has_ties
     index = _Index(game)
     live = index.live(game.outcomes)
-    surviving = frozenset(game.outcomes)
+    order: list[str] = []
     steps: list[SolverState] = []
-    step = 0
-    while surviving:
+    remaining = len(game.outcomes)
+    while remaining:
         cells = _reached(index, live)
         maximins, by = _step(index, live, cells)
-        eliminated = frozenset(by)
         reached = frozenset(cell.label for cell in cells)
-        steps.append(SolverState(step, surviving, reached, maximins, eliminated, by))
-        if not eliminated:
+        steps.append(SolverState(len(steps), order, reached, maximins, frozenset(by), by, len(order)))
+        if not by:
             break
-        surviving = surviving - eliminated
+        order += by
         for player, ranks in index.ranks.items():
-            live[player] &= ~ranks.mask(eliminated)
-        step += 1
-    if len(surviving) == 1:
+            live[player] &= ~ranks.mask(by)
+        remaining -= len(by)
+    fixpoint = frozenset(game.outcomes).difference(order)
+    order += (z for z in game.outcomes if z in fixpoint)
+    if len(fixpoint) == 1:
         status = UNIQUE
-    elif not surviving:
+    elif not fixpoint:
         status = EMPTY
     else:
         status = MULTIPLE_WITH_TIES
-    return SolveResult(fixpoint=surviving, steps=tuple(steps), has_ties=has_ties, status=status)
+    return SolveResult(fixpoint=fixpoint, steps=tuple(steps), has_ties=has_ties, status=status)

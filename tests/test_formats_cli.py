@@ -16,6 +16,7 @@ import pytest
 from ptesolver import (
     GeneratorParams,
     ParseError,
+    SolverState,
     build_game,
     export_dot,
     parse_exact,
@@ -30,7 +31,7 @@ from ptesolver import (
 from ptesolver.cli import run
 from ptesolver.oracle import SEARCH_LIMIT
 
-from conftest import FIXTURES
+from conftest import FIXTURES, binary_tree_game
 
 PD_PATH = str(FIXTURES / "prisoners_dilemma.json")
 WITNESS_PATH = str(FIXTURES / "empty_pte_witness.json")
@@ -138,6 +139,16 @@ class TestTraceJson:
         }
         assert {p["outcome"] for p in first["preempted"]} == {"C,d", "D,c"}
         assert trace[-1] == {"status": "unique", "equilibrium": "C,c"}
+
+    def test_a_step_preempting_a_non_survivor_is_refused(self, pd_game):
+        # The trace lists each step's survivors as the last step's less what
+        # it preempted, so a result whose steps do not follow is refused.
+        result = solve(pd_game)
+        first, second = result.steps[:2]
+        gone = SolverState(1, second.surviving, second.reached, second.maximins, first.preempted, first.preempted_by)
+        broken = replace(result, steps=(first, gone) + result.steps[2:])
+        with pytest.raises(ValueError, match="step 1 preempts 'C,d', which does not survive it"):
+            trace_to_jsonable(pd_game, broken)
 
     def test_json_serializable(self, hexa_setup):
         game = build_game(hexa_setup)
@@ -289,6 +300,32 @@ class TestCli:
         assert done.stderr == (
             f"error: search bounds of 100000 rows and 100000 columns are refused; at most {SEARCH_LIMIT} of each\n"
         )
+
+    @pytest.mark.slow
+    def test_depth_14_quiet_solve_fits_a_capped_address_space(self, tmp_path):
+        # 16384 outcomes over about 8200 steps: a step keeps its change, so
+        # memory follows the compiled masks; keeping every step's survivors
+        # does not fit in 1 GiB here.
+        path = tmp_path / "tree14.json"
+        path.write_text(serialize_game(binary_tree_game(14, seed=1)))
+        child = textwrap.dedent(
+            """
+            import resource, sys
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            cap = 512 << 20 if hard == resource.RLIM_INFINITY else min(hard, 512 << 20)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+            from ptesolver.cli import run
+            sys.exit(run(["solve", "--quiet", sys.argv[1]]))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-c", child, str(path)], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert time.monotonic() - start < 60
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout) == {"status": "unique", "equilibrium": "LLLRLRRLRLLLLL"}
 
     def test_missing_file_exits_one(self, capsys):
         assert run(["solve", "no_such_file.json"]) == 1

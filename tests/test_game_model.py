@@ -13,6 +13,7 @@ from ptesolver import (
     game_has_ties,
     has_perfect_recall,
     is_canonical,
+    naive_solve,
     serialize_game,
     solve,
     validate_game,
@@ -109,6 +110,18 @@ class TestValidate:
         game = replace(pd_game, player_map={**pd_game.player_map, "C,c": "Row"})
         report = validate_game(game)
         assert [(issue.code, issue.ids) for issue in report.errors] == [("UNKNOWN_NODE", ("C,c",))]
+
+    @pytest.mark.parametrize("solver", [solve, naive_solve], ids=["solve", "naive_solve"])
+    def test_solvers_refuse_an_empty_cell(self, pd_game, solver):
+        game = replace(pd_game, infosets={**pd_game.infosets, "ghost": ()})
+        with pytest.raises(ValueError, match="information set 'ghost' has no members"):
+            solver(game)
+
+    @pytest.mark.parametrize("solver", [solve, naive_solve], ids=["solve", "naive_solve"])
+    def test_solvers_refuse_the_player_of_an_undeclared_node(self, pd_game, solver):
+        game = replace(pd_game, player_map={**pd_game.player_map, "C,c": "Row"})
+        with pytest.raises(ValueError, match="'C,c' has a player but is not a declared choice node"):
+            solver(game)
 
     def test_missing_utility(self):
         game = one_shot_game(utility_map={("P", "z0"): Fraction(1)})

@@ -9,11 +9,14 @@ cell member. The float-first sort key, the indented writer and the tie
 check are compared with what they stand in for: the Fraction order,
 ``json.dumps(x, indent=2)`` and a set of the payoff Fractions. Game and
 setup documents round-trip through their parsers, and a spacelike setup
-builds its normal-form embedding.
+builds its normal-form embedding. The solver's steps equal
+``naive_solve``'s, and the streamed trace equals the indented trace
+values, whose survivor lists equal each step's own ``surviving`` set.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import replace
@@ -35,6 +38,7 @@ from ptesolver import (
     game_has_ties,
     has_perfect_recall,
     is_canonical,
+    naive_solve,
     parse_game,
     parse_setup,
     random_setup,
@@ -42,13 +46,15 @@ from ptesolver import (
     serialize_setup,
     solve,
     total_order,
+    trace_to_jsonable,
     validate_game,
     validate_setup,
 )
-from ptesolver.formats import _indented_json
+from ptesolver.exact import format_exact
+from ptesolver.formats import _indented_json, _write_trace
 from ptesolver.solver import _exact_key
 
-from conftest import all_profiles, follow_profile
+from conftest import FIXTURES, all_profiles, binary_tree_game, follow_profile, square_normal_form
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -371,3 +377,110 @@ def test_spacelike_setup_builds_its_normal_form_embedding(drawn):
     by_build, by_embedding = solve(built), solve(embedded)
     assert by_build.fixpoint == by_embedding.fixpoint
     assert len(by_build.steps) == len(by_embedding.steps)
+
+
+def reference_trace(game: Game, result) -> list:
+    """The trace values with each step's survivors read off its own ``surviving`` set."""
+    steps = []
+    for state in result.steps:
+        cells = [cell for cell in game.infosets if cell in state.reached]
+        steps.append(
+            {
+                "step": state.step,
+                "surviving": [z for z in game.outcomes if z in state.surviving],
+                "reached_infosets": cells,
+                "maximins": [
+                    {
+                        "infoset": cell,
+                        "player": game.cell_player(cell),
+                        "value": format_exact(state.maximins[cell][0]),
+                        "action": state.maximins[cell][1],
+                    }
+                    for cell in cells
+                ],
+                "preempted": [
+                    {"outcome": z, "player": state.preempted_by[z][0][0], "infoset": state.preempted_by[z][0][1]}
+                    for z in game.outcomes
+                    if z in state.preempted
+                ],
+            }
+        )
+    fixpoint = [z for z in game.outcomes if z in result.fixpoint]
+    equilibrium = fixpoint[0] if len(fixpoint) == 1 else fixpoint or None
+    return steps + [{"status": result.status, "equilibrium": equilibrium}]
+
+
+def check_trace(game: Game, result) -> None:
+    trace = trace_to_jsonable(game, result)
+    assert trace == reference_trace(game, result)
+    out = io.StringIO()
+    _write_trace(out, game, result)
+    assert out.getvalue() == _indented_json(trace) + "\n"
+
+
+def check_solve_and_trace(game: Game) -> None:
+    result, oracle = solve(game), naive_solve(game)
+    assert result == oracle
+    for state, expected in zip(result.steps, oracle.steps, strict=True):
+        assert state == expected
+        assert state.surviving == expected.surviving
+    check_trace(game, result)
+
+
+def perfect_information(game: Game) -> Game:
+    return replace(game, infosets={f"c{i}": (node,) for i, node in enumerate(game.choice_nodes)})
+
+
+@st.composite
+def normal_forms(draw) -> Game:
+    rows = tuple(f"r{i}" for i in range(draw(st.integers(1, 4))))
+    cols = tuple(f"c{j}" for j in range(draw(st.integers(1, 4))))
+    matrix = {(r, c): (draw(st.integers(0, 4)), draw(st.integers(0, 4))) for r in rows for c in cols}
+    return embed_normal_form(matrix, ("Row", "Col"), (rows, cols))
+
+
+seeds = st.integers(0, 10**6)
+
+
+@PROPERTY_SETTINGS
+@given(entangled_games(max_nodes=12).map(perfect_information) | st.builds(binary_tree_game, st.integers(0, 5), seeds))
+def test_perfect_trees_stream_the_oracle_trace(game):
+    check_solve_and_trace(game)
+
+
+@PROPERTY_SETTINGS
+@given(normal_forms() | st.builds(square_normal_form, st.integers(1, 5), seeds))
+def test_normal_forms_stream_the_oracle_trace(game):
+    check_solve_and_trace(game)
+
+
+@PROPERTY_SETTINGS
+@given(entangled_games(max_nodes=12).map(canonicalize))
+def test_canonicalized_entangled_games_stream_the_oracle_trace(game):
+    check_solve_and_trace(game)
+
+
+def test_empty_fixpoint_streams_the_oracle_trace():
+    game = parse_game((FIXTURES / "empty_pte_witness.json").read_text())
+    assert solve(game).status == "empty"
+    check_solve_and_trace(game)
+
+
+@PROPERTY_SETTINGS
+@given(entangled_games(max_nodes=12).map(canonicalize), st.integers(-1, 4), st.data())
+def test_outcome_off_the_tree_streams_its_trace(game, payoff, data):
+    # No path leads to "off", so the oracle, which reads root paths, cannot
+    # take it; the steps are checked to follow one another instead.
+    position = data.draw(st.integers(0, len(game.outcomes)))
+    off = replace(
+        game,
+        outcomes=game.outcomes[:position] + ("off",) + game.outcomes[position:],
+        utility_map={**game.utility_map, **{(p, "off"): Fraction(payoff) for p in game.players}},
+    )
+    result = solve(off)
+    surviving = frozenset(off.outcomes)
+    for state in result.steps:
+        assert state.surviving == surviving and "off" in surviving
+        surviving -= state.preempted
+    assert result.fixpoint == surviving
+    check_trace(off, result)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import threading
 from fractions import Fraction
 
@@ -107,7 +109,7 @@ class TestMaximin:
 
     def test_actions_without_survivors_are_skipped(self, pd_game):
         index, live = compiled(pd_game, frozenset({"D,c", "D,d"}))
-        cell = index.cells["Row"]
+        cell = next(cell for cell in index.cells if cell.label == "Row")
         worst, action, _ = _maximin(live, cell)
         assert (cell.ranks.values[worst], action) == (Fraction(1), "D")
 
@@ -197,6 +199,13 @@ class TestSolve:
         last = result.steps[-1]
         assert last.surviving == {"a,x", "b,y"}
         assert last.preempted == {"a,x", "b,y"}
+
+    def test_states_are_read_only_and_survive_a_copy(self, pd_game):
+        result = solve(pd_game)
+        with pytest.raises(AttributeError):
+            result.steps[1].step = 0
+        assert pickle.loads(pickle.dumps(result)) == copy.deepcopy(result) == result
+        assert copy.deepcopy(result).steps[1].surviving == {"C,c", "D,d"}
 
     def test_hexa_game_unique_equilibrium(self, hexa_setup):
         result = solve(build_game(hexa_setup))
