@@ -5,6 +5,10 @@ or standard input ("-") and writes results to standard output. Exit
 codes for `solve` mirror the solver status: 0 unique, 2 empty fixpoint,
 3 multiple survivors under ties. I/O, parse and validation problems exit
 with 1 and a diagnostic on standard error.
+
+Every command loads `formats`, `game` and `solver`; only the commands
+that use them import `spacetime` (`spacetime-build`) and `oracle`
+(`oracle-compare`, `search-counterexample`), when they run.
 """
 
 from __future__ import annotations
@@ -26,9 +30,7 @@ from .formats import (
     serialize_game,
 )
 from .game import canonicalize, validate_game
-from .oracle import naive_solve, search_empty_pte
 from .solver import EMPTY, MULTIPLE_WITH_TIES, NotCanonicalError, solve
-from .spacetime import SetupError, build_game, total_order
 
 STATUS_EXIT = {EMPTY: 2, MULTIPLE_WITH_TIES: 3}
 
@@ -88,6 +90,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_spacetime_build(args: argparse.Namespace) -> int:
+    from .spacetime import SetupError, build_game, total_order
+
     setup = parse_setup(_read(args.input))
     try:
         game = build_game(setup)
@@ -115,6 +119,8 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_compare(args: argparse.Namespace) -> int:
+    from .oracle import naive_solve
+
     game = _load_valid_game(args.input)
     fast = solve(game)
     slow = naive_solve(game)
@@ -128,6 +134,8 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_search_counterexample(args: argparse.Namespace) -> int:
+    from .oracle import search_empty_pte
+
     witness = search_empty_pte(max_rows=args.max_rows, max_cols=args.max_cols)
     if witness is None:
         print("no counterexample found in the search space", file=sys.stderr)

@@ -13,12 +13,14 @@ import json
 from bisect import bisect_left
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Iterator, Sequence, TextIO
 
 from .exact import _digit_limit, format_exact, parse_exact
 from .game import Game
 from .solver import SolveResult
-from .spacetime import DecisionPoint, SpacetimeSetup
+
+if TYPE_CHECKING:
+    from .spacetime import DecisionPoint, SpacetimeSetup
 
 GAME_KEYS = {"players", "actions", "nodes", "outcomes", "root"}
 NODE_KEYS = {"id", "player", "infoset", "moves"}
@@ -259,6 +261,8 @@ def serialize_game(game: Game) -> str:
 
 def parse_setup(text: str) -> SpacetimeSetup:
     """Parse a spacetime setup document; constraints stay with validate_setup."""
+    from .spacetime import DecisionPoint, SpacetimeSetup
+
     doc = _require_object(_loads(text), "$", SETUP_KEYS)
     if not isinstance(doc["dimension"], int) or isinstance(doc["dimension"], bool):
         _fail("$.dimension", "expected an integer")

@@ -1,12 +1,15 @@
-"""Package-wide source checks: invariants survive ``python -O``, the runtime is stdlib-only, and README names every export."""
+"""Package-wide checks: invariants survive ``python -O``, the runtime is stdlib-only, README names every
+export, exports resolve on first use, and a ``pte`` command loads only the modules it runs."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
-from types import ModuleType
 
 import pytest
 
@@ -34,8 +37,71 @@ def test_imports_only_the_standard_library(path):
 
 def test_every_export_is_documented():
     readme = (ROOT / "README.md").read_text()
-    exports = [
-        name for name, value in vars(ptesolver).items() if not name.startswith("_") and not isinstance(value, ModuleType)
-    ]
-    missing = [name for name in exports if not re.search(rf"\b{re.escape(name)}\b", readme)]
+    missing = [name for name in ptesolver.__all__ if not re.search(rf"\b{re.escape(name)}\b", readme)]
     assert not missing, f"README.md does not name the exports {missing}"
+
+
+# The package's exports, pinned: adding or dropping one is an API change this list must follow.
+EXPORTS = """
+    format_exact parse_exact
+    Game ValidationIssue ValidationReport canonicalize embed_normal_form game_has_ties has_perfect_recall
+    is_canonical validate_game
+    EMPTY MULTIPLE_WITH_TIES UNIQUE NotCanonicalError SolveResult SolverState solve
+    COLOCATED SPACELIKE TIMELIKE DecisionPoint History Separation SetupError SetupReport SpacetimeSetup
+    build_game causal_dag separation spacelike_agent_check total_order validate_setup
+    GeneratorParams naive_solve normal_form_maximin pareto_frontier random_game random_matrix random_setup
+    search_empty_pte
+    ParseError export_dot game_to_jsonable parse_game parse_setup serialize_game serialize_setup
+    setup_to_jsonable trace_to_jsonable
+""".split()
+
+
+def test_exports_resolve_on_first_use():
+    assert len(set(EXPORTS)) == len(EXPORTS) == 50
+    assert sorted(ptesolver.__all__) == sorted(EXPORTS)
+    namespace: dict = {}
+    exec("from ptesolver import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(EXPORTS)
+    for name in EXPORTS:
+        value = getattr(ptesolver, name)
+        assert namespace[name] is value, name
+    assert set(EXPORTS) <= set(dir(ptesolver))
+    with pytest.raises(AttributeError, match="no attribute 'descendants'"):
+        ptesolver.descendants
+
+
+COLD_START = """
+import sys
+sys.argv = ["pte", *sys.argv[1:]]
+from ptesolver import cli
+try:
+    cli.main()
+except SystemExit as stop:
+    code = stop.code
+print("\\n" + repr((code, sorted(name for name in sys.modules if name.startswith("ptesolver.")))))
+"""
+
+
+def _cold_start(*argv: str) -> tuple[str, int, list[str]]:
+    """Standard output, exit code and loaded package modules of ``cli.main()`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, *argv], capture_output=True, text=True, env=env, cwd=ROOT, timeout=60
+    )
+    assert done.returncode == 0 and not done.stderr, done.stderr
+    output, _, last = done.stdout.rpartition("\n\n")
+    code, modules = ast.literal_eval(last)
+    return output, code, modules
+
+
+def test_solve_loads_neither_oracle_nor_spacetime():
+    output, code, modules = _cold_start("solve", "--quiet", "tests/fixtures/prisoners_dilemma.json")
+    assert (code, json.loads(output)) == (0, {"status": "unique", "equilibrium": "C,c"})
+    assert "ptesolver.cli" in modules and "ptesolver.solver" in modules
+    assert "ptesolver.oracle" not in modules and "ptesolver.spacetime" not in modules
+
+
+def test_spacetime_build_loads_spacetime_but_not_oracle():
+    output, code, modules = _cold_start("spacetime-build", "--game-only", "tests/fixtures/spacetime_example.json")
+    assert code == 0 and json.loads(output)["players"]
+    assert "ptesolver.spacetime" in modules and "ptesolver.oracle" not in modules
