@@ -23,8 +23,7 @@ _EXPORTS = {
         "solver": "EMPTY MULTIPLE_WITH_TIES UNIQUE NotCanonicalError SolveResult SolverState solve",
         "spacetime": "COLOCATED SPACELIKE TIMELIKE DecisionPoint History Separation SetupError SetupReport"
         " SpacetimeSetup build_game causal_dag separation spacelike_agent_check total_order validate_setup",
-        "oracle": "GeneratorParams naive_solve normal_form_maximin pareto_frontier random_game random_matrix"
-        " random_setup search_empty_pte",
+        "oracle": "naive_solve normal_form_maximin pareto_frontier search_empty_pte",
         "formats": "ParseError export_dot game_to_jsonable parse_game parse_setup serialize_game"
         " serialize_setup setup_to_jsonable trace_to_jsonable",
     }.items()

@@ -63,11 +63,6 @@ class Game:
         members = self.infosets[cell]
         return self.player_map[members[0]]
 
-    def cell_actions(self, cell: str) -> tuple[str, ...]:
-        """Common action set of a cell, in the first member's order."""
-        members = self.infosets[cell]
-        return self.action_map[members[0]]
-
     @cached_property
     def _tree(self) -> _Tree:
         """This game's tree index, made on first use and kept with this object only."""

@@ -1,22 +1,20 @@
-"""Brute-force cross-checks and seeded generators for the solver.
+"""Brute-force cross-checks for the solver.
 
 Everything here recomputes results from first principles, sharing only
 the data types with the solver: descendant sets come from explicit
 root-to-leaf path enumeration, reach from path intersection, preemption
 from a plain triple loop. Equivalence tests against the solver would be
-meaningless otherwise. Generators are deterministic per seed, and tie
-freedom is obtained by construction (per-player permutations of 1..|Z|),
-never by rejection sampling over reals.
+meaningless otherwise.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from typing import Callable, Mapping, Sequence
 
+# Unused here: bench/worker.py imports only cli and oracle before Recorder.install wraps all five layers.
+from . import spacetime
 from .exact import parse_exact
 from .game import Game, embed_normal_form
 from .solver import (
@@ -28,9 +26,6 @@ from .solver import (
     SolverState,
     solve,
 )
-from .spacetime import DecisionPoint, SpacetimeSetup, _Triangle, build_game, causal_dag, total_order
-
-SHAPES = ("normal_form", "perfect_info", "general_imperfect", "spacetime")
 
 Matrix = Mapping[tuple[str, ...], Sequence[object]]
 
@@ -38,23 +33,6 @@ Matrix = Mapping[tuple[str, ...], Sequence[object]]
 # (r*c)!**2, so even 3 x 3 cannot be exhausted; the bound only keeps the
 # list of sizes small before the 2 x 2 witness is found.
 SEARCH_LIMIT = 8
-
-
-@dataclass(frozen=True)
-class GeneratorParams:
-    seed: int
-    max_players: int = 2
-    max_depth: int = 4
-    max_actions: int = 3
-    max_outcomes: int = 20
-    no_ties: bool = True
-    shape: str = "general_imperfect"
-
-    def check(self) -> None:
-        if min(self.max_players, self.max_depth, self.max_actions, self.max_outcomes) < 1:
-            raise ValueError("generator bounds must be positive")
-        if self.shape not in SHAPES:
-            raise ValueError(f"unknown shape {self.shape!r}")
 
 
 def pareto_frontier(game: Game) -> frozenset[str]:
@@ -204,241 +182,6 @@ def naive_solve(game: Game) -> SolveResult:
     else:
         status = MULTIPLE_WITH_TIES
     return SolveResult(fixpoint=surviving, steps=tuple(steps), has_ties=ties, status=status)
-
-
-def _payoff_values(rng: random.Random, count: int, no_ties: bool) -> list[int]:
-    if no_ties:
-        values = list(range(1, count + 1))
-        rng.shuffle(values)
-        return values
-    return [rng.randint(1, max(1, count)) for _ in range(count)]
-
-
-def random_matrix(
-    seed: int,
-    max_rows: int = 4,
-    max_cols: int = 4,
-    no_ties: bool = True,
-) -> tuple[dict[tuple[str, str], tuple[int, int]], tuple[str, str], tuple[tuple[str, ...], tuple[str, ...]]]:
-    """A random two-player matrix with its players and action lists."""
-    rng = random.Random(seed)
-    rows = rng.randint(1, max_rows)
-    cols = rng.randint(1, max_cols)
-    row_actions = tuple(f"r{i}" for i in range(rows))
-    col_actions = tuple(f"c{j}" for j in range(cols))
-    profiles = list(product(row_actions, col_actions))
-    row_pay = _payoff_values(rng, len(profiles), no_ties)
-    col_pay = _payoff_values(rng, len(profiles), no_ties)
-    matrix = {
-        profile: (row_pay[i], col_pay[i]) for i, profile in enumerate(profiles)
-    }
-    return matrix, ("Row", "Col"), (row_actions, col_actions)
-
-
-def _random_normal_form(rng: random.Random, params: GeneratorParams) -> Game:
-    n_players = rng.randint(1, params.max_players)
-    sizes = []
-    prod_so_far = 1
-    for _ in range(n_players):
-        cap = max(1, min(params.max_actions, params.max_outcomes // prod_so_far))
-        size = rng.randint(1, cap)
-        sizes.append(size)
-        prod_so_far *= size
-    players = [f"P{i}" for i in range(n_players)]
-    action_lists = [[f"a{i}_{j}" for j in range(sizes[i])] for i in range(n_players)]
-    profiles = list(product(*action_lists))
-    per_player = [_payoff_values(rng, len(profiles), params.no_ties) for _ in players]
-    matrix = {
-        profile: tuple(per_player[i][k] for i in range(n_players))
-        for k, profile in enumerate(profiles)
-    }
-    return embed_normal_form(matrix, players, action_lists)
-
-
-def _random_tree(rng: random.Random, params: GeneratorParams, singleton_cells: bool) -> Game:
-    """Random game tree; cells merge same-depth compatible nodes unless singleton."""
-    n_players = rng.randint(1, params.max_players)
-    players = [f"P{i}" for i in range(n_players)]
-    pool = [f"m{k}" for k in range(params.max_actions)]
-    target = rng.randint(2, params.max_outcomes) if params.max_outcomes >= 2 else 1
-
-    nodes: list[str] = []
-    outcomes: list[str] = []
-    action_map: dict[str, tuple[str, ...]] = {}
-    player_map: dict[str, str] = {}
-    successor_map: dict[tuple[str, str], str] = {}
-    depth_of: dict[str, int] = {}
-
-    def grow(budget: int, depth: int) -> str:
-        if budget == 1 or depth >= params.max_depth or (depth > 0 and rng.random() < 0.25):
-            z = f"z{len(outcomes)}"
-            outcomes.append(z)
-            return z
-        width = rng.randint(2, min(params.max_actions, budget)) if params.max_actions >= 2 else 1
-        node = f"n{len(nodes)}"
-        nodes.append(node)
-        depth_of[node] = depth
-        action_map[node] = tuple(pool[:width])
-        player_map[node] = rng.choice(players)
-        cuts = sorted(rng.sample(range(1, budget), width - 1)) if width > 1 else []
-        shares = [b - a for a, b in zip([0] + cuts, cuts + [budget])]
-        for action, share in zip(action_map[node], shares):
-            successor_map[(node, action)] = grow(share, depth + 1)
-        return node
-
-    root = grow(target, 0)
-
-    infosets: dict[str, tuple[str, ...]] = {}
-    if singleton_cells:
-        for k, node in enumerate(nodes):
-            infosets[f"i{k}"] = (node,)
-    else:
-        groups: dict[tuple[int, str, tuple[str, ...]], list[str]] = {}
-        for node in nodes:
-            key = (depth_of[node], player_map[node], action_map[node])
-            groups.setdefault(key, []).append(node)
-        label = 0
-        for key in sorted(groups):
-            members = groups[key]
-            rng.shuffle(members)
-            while members:
-                take = rng.randint(1, len(members))
-                infosets[f"i{label}"] = tuple(sorted(members[:take], key=nodes.index))
-                members = members[take:]
-                label += 1
-
-    utility_map: dict[tuple[str, str], Fraction] = {}
-    for player in players:
-        values = _payoff_values(rng, len(outcomes), params.no_ties)
-        for z, value in zip(outcomes, values):
-            utility_map[(player, z)] = Fraction(value)
-
-    return Game(
-        players=tuple(players),
-        actions=tuple(pool),
-        choice_nodes=tuple(nodes),
-        outcomes=tuple(outcomes),
-        action_map=action_map,
-        player_map=player_map,
-        successor_map=successor_map,
-        utility_map=utility_map,
-        infosets=infosets,
-        root=root,
-    )
-
-
-def random_setup(
-    seed: int,
-    max_agents: int = 3,
-    max_actions: int = 3,
-    max_points: int = 5,
-    max_outcomes: int = 40,
-    no_ties: bool = True,
-) -> SpacetimeSetup:
-    """Deterministic random spacetime setup with a valid forced triangle."""
-    rng = random.Random(seed)
-    n_agents = rng.randint(1, max_agents)
-    agents = tuple(f"P{i}" for i in range(n_agents))
-    pool = tuple(f"g{k}" for k in range(max_actions))
-    for attempt in range(64):
-        sub = random.Random(rng.randrange(1 << 30) + attempt)
-        n_points = sub.randint(0, max(1, max_points - attempt // 8))
-        points = []
-        for k in range(n_points):
-            width = sub.randint(1, min(max_actions, max_outcomes))
-            coords = (Fraction(sub.randint(-6, 6)), Fraction(sub.randint(-6, 6)))
-            points.append(
-                DecisionPoint(
-                    id=f"d{k}",
-                    agent=sub.choice(agents),
-                    coords=coords,
-                    actions=tuple(pool[:width]),
-                )
-            )
-        setup = SpacetimeSetup(
-            dimension=2,
-            agents=agents,
-            actions=pool,
-            points=tuple(points),
-            contingency=_forced_triangle(sub, points),
-            utilities={},
-        )
-        # The walk stops past max_outcomes complete histories, which rejects the setup.
-        complete = _Triangle(setup, slack=max_outcomes).histories[0]
-        if not complete or len(complete) > max_outcomes:
-            continue
-        utilities: dict[str, dict[str, Fraction]] = {h.key(): {} for h in complete}
-        for agent in agents:
-            values = _payoff_values(sub, len(complete), no_ties)
-            for history, value in zip(complete, values):
-                utilities[history.key()][agent] = Fraction(value)
-        return SpacetimeSetup(
-            dimension=2,
-            agents=agents,
-            actions=pool,
-            points=tuple(points),
-            contingency=setup.contingency,
-            utilities=utilities,
-        )
-    raise ValueError("could not generate a setup within the outcome bound")
-
-
-def _random_spacetime(rng: random.Random, params: GeneratorParams) -> Game:
-    return build_game(
-        random_setup(
-            seed=rng.randrange(1 << 30),
-            max_agents=params.max_players,
-            max_actions=params.max_actions,
-            max_points=5,
-            max_outcomes=params.max_outcomes,
-            no_ties=params.no_ties,
-        )
-    )
-
-
-def _forced_triangle(rng: random.Random, points: Sequence[DecisionPoint]) -> dict[str, dict[str, str]]:
-    """The contingency entries are forced up to the choice of required action."""
-    probe = SpacetimeSetup(
-        dimension=2,
-        agents=tuple(dict.fromkeys(p.agent for p in points)),
-        actions=tuple(dict.fromkeys(a for p in points for a in p.actions)),
-        points=tuple(points),
-        contingency={},
-        utilities={},
-    )
-    order = total_order(probe)
-    dag = causal_dag(probe)
-    rows: list[list[str | None]] = []
-    contingency: dict[str, dict[str, str]] = {}
-    for k, point in enumerate(order):
-        row: list[str | None] = []
-        for l in range(k):
-            earlier = order[l]
-            precedes = point.id in dag[earlier.id]
-            consistent = all(
-                a is None or a == row[m] for m, a in enumerate(rows[l])
-            )
-            if precedes and consistent:
-                choice = rng.choice(earlier.actions)
-                row.append(choice)
-                contingency.setdefault(point.id, {})[earlier.id] = choice
-            else:
-                row.append(None)
-        rows.append(row)
-    return contingency
-
-
-def random_game(params: GeneratorParams) -> Game:
-    """Deterministic random game of the requested shape, always canonical."""
-    params.check()
-    rng = random.Random(params.seed)
-    if params.shape == "normal_form":
-        return _random_normal_form(rng, params)
-    if params.shape == "perfect_info":
-        return _random_tree(rng, params, singleton_cells=True)
-    if params.shape == "general_imperfect":
-        return _random_tree(rng, params, singleton_cells=False)
-    return _random_spacetime(rng, params)
 
 
 def search_empty_pte(

@@ -184,11 +184,11 @@ class _Triangle:
     with the object, which lives for one validation or build: validation
     reads the complete histories and :func:`build_game` the children as
     its edges. The walk enumerates at most ``bound`` complete histories,
-    the setup's utilities entries plus ``slack``, and then stops.
+    the setup's utilities entries plus ``HISTORY_SLACK``, and then stops.
     """
 
-    def __init__(self, setup: SpacetimeSetup, slack: int = HISTORY_SLACK) -> None:
-        self.bound = len(setup.utilities) + slack
+    def __init__(self, setup: SpacetimeSetup) -> None:
+        self.bound = len(setup.utilities) + HISTORY_SLACK
         self.order = total_order(setup)
         self.rows: list[tuple[str | None, ...]] = []
         for k, point in enumerate(self.order):

@@ -12,7 +12,6 @@ from itertools import product
 
 from ptesolver import (
     EMPTY,
-    GeneratorParams,
     build_game,
     canonicalize,
     embed_normal_form,
@@ -22,8 +21,6 @@ from ptesolver import (
     normal_form_maximin,
     pareto_frontier,
     parse_game,
-    random_game,
-    random_matrix,
     search_empty_pte,
     solve,
 )
@@ -33,10 +30,14 @@ from conftest import (
     PD_ACTIONS,
     PD_MATRIX,
     PD_PLAYERS,
+    SHAPES,
+    GeneratorParams,
     actions_taken,
     all_profiles,
     entangle,
     follow_profile,
+    random_game,
+    random_matrix,
 )
 from test_spacetime import HEXA_COMPLETE, HEXA_INCOMPLETE
 
@@ -76,12 +77,11 @@ def test_criterion_3_prisoners_dilemma():
 
 
 def test_criterion_4_property_suite():
-    shapes = ("normal_form", "perfect_info", "general_imperfect", "spacetime")
     start = time.monotonic()
     failures = []
     for seed in range(1000):
         game = random_game(
-            GeneratorParams(seed=seed, shape=shapes[seed % 4], max_outcomes=20, no_ties=True)
+            GeneratorParams(seed=seed, shape=SHAPES[seed % 4], max_outcomes=20, no_ties=True)
         )
         result = solve(game)
         if len(result.fixpoint) > 1:

@@ -20,10 +20,10 @@ import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from ptesolver import random_setup, serialize_game, serialize_setup
+from ptesolver import serialize_game, serialize_setup
 from ptesolver.cli import run
 
-from conftest import FIXTURES, binary_tree_game, entangle, random_tree_game, square_normal_form
+from conftest import FIXTURES, binary_tree_game, entangle, random_setup, random_tree_game, square_normal_form
 
 GAME_COMMANDS = (
     ("validate",),

@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from ptesolver import (
-    GeneratorParams,
     ParseError,
     SolverState,
     build_game,
@@ -22,7 +21,6 @@ from ptesolver import (
     parse_exact,
     parse_game,
     parse_setup,
-    random_game,
     serialize_game,
     serialize_setup,
     solve,
@@ -31,7 +29,7 @@ from ptesolver import (
 from ptesolver.cli import run
 from ptesolver.oracle import SEARCH_LIMIT
 
-from conftest import FIXTURES, binary_tree_game
+from conftest import FIXTURES, GeneratorParams, binary_tree_game, random_game
 
 PD_PATH = str(FIXTURES / "prisoners_dilemma.json")
 WITNESS_PATH = str(FIXTURES / "empty_pte_witness.json")

@@ -1,5 +1,6 @@
-"""Package-wide checks: invariants survive ``python -O``, the runtime is stdlib-only, README names every
-export, exports resolve on first use, and a ``pte`` command loads only the modules it runs."""
+"""Package-wide checks: invariants survive ``python -O``, the runtime is stdlib-only and holds no test
+generators, README names every export, exports resolve on first use, a ``pte`` command loads only the
+modules it runs, and the bench worker's imports load every traced layer."""
 
 from __future__ import annotations
 
@@ -26,13 +27,25 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} uses assert at lines {lines}; raise an exception instead"
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
-def test_imports_only_the_standard_library(path):
+def _absolute_imports(path: Path) -> set[str]:
+    """Top-level names of the modules a source file imports, relative imports left out."""
     tree = ast.parse(path.read_text(), filename=str(path))
     modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
     modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0]
-    outside = sorted({name for name in modules if name.split(".")[0] not in sys.stdlib_module_names})
+    return {name.split(".")[0] for name in modules}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_imports_only_the_standard_library(path):
+    outside = sorted(_absolute_imports(path) - sys.stdlib_module_names)
     assert not outside, f"{path.name} imports {outside}; the runtime must need only the standard library"
+
+
+# An AST check, not a sys.modules one: interpreter start-up may already have loaded random.
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_imports_no_generator_or_test_code(path):
+    found = sorted(_absolute_imports(path) & {"random", "conftest", "tests"})
+    assert not found, f"{path.name} imports {found}; seeded generators and test helpers live in tests/"
 
 
 def test_every_export_is_documented():
@@ -49,15 +62,14 @@ EXPORTS = """
     EMPTY MULTIPLE_WITH_TIES UNIQUE NotCanonicalError SolveResult SolverState solve
     COLOCATED SPACELIKE TIMELIKE DecisionPoint History Separation SetupError SetupReport SpacetimeSetup
     build_game causal_dag separation spacelike_agent_check total_order validate_setup
-    GeneratorParams naive_solve normal_form_maximin pareto_frontier random_game random_matrix random_setup
-    search_empty_pte
+    naive_solve normal_form_maximin pareto_frontier search_empty_pte
     ParseError export_dot game_to_jsonable parse_game parse_setup serialize_game serialize_setup
     setup_to_jsonable trace_to_jsonable
 """.split()
 
 
 def test_exports_resolve_on_first_use():
-    assert len(set(EXPORTS)) == len(EXPORTS) == 50
+    assert len(set(EXPORTS)) == len(EXPORTS) == 46
     assert sorted(ptesolver.__all__) == sorted(EXPORTS)
     namespace: dict = {}
     exec("from ptesolver import *", namespace)
@@ -99,6 +111,26 @@ def test_solve_loads_neither_oracle_nor_spacetime():
     assert (code, json.loads(output)) == (0, {"status": "unique", "equilibrium": "C,c"})
     assert "ptesolver.cli" in modules and "ptesolver.solver" in modules
     assert "ptesolver.oracle" not in modules and "ptesolver.spacetime" not in modules
+
+
+BENCH_IMPORTS = """
+import sys
+import ptesolver
+from ptesolver import cli, oracle
+print(repr(sorted(name for name in sys.modules if name.startswith("ptesolver."))))
+"""
+
+
+def test_bench_worker_imports_load_every_layer():
+    """bench/worker.py imports only cli and oracle before its recorder wraps these five layers."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", BENCH_IMPORTS], capture_output=True, text=True, env=env, cwd=ROOT, timeout=60
+    )
+    assert done.returncode == 0 and not done.stderr, done.stderr
+    modules = ast.literal_eval(done.stdout)
+    for layer in ("cli", "formats", "game", "solver", "spacetime"):
+        assert f"ptesolver.{layer}" in modules, layer
 
 
 def test_spacetime_build_loads_spacetime_but_not_oracle():

@@ -11,7 +11,6 @@ from ptesolver import (
     EMPTY,
     MULTIPLE_WITH_TIES,
     Game,
-    GeneratorParams,
     SolveResult,
     SolverState,
     build_game,
@@ -21,8 +20,6 @@ from ptesolver import (
     naive_solve,
     normal_form_maximin,
     pareto_frontier,
-    random_game,
-    random_matrix,
     search_empty_pte,
     solve,
     validate_game,
@@ -33,12 +30,14 @@ from conftest import (
     PD_ACTIONS,
     PD_MATRIX,
     PD_PLAYERS,
+    SHAPES,
+    GeneratorParams,
     binary_tree_game,
+    random_game,
+    random_matrix,
     square_normal_form,
     timelike_chain_setup,
 )
-
-SHAPES = ("normal_form", "perfect_info", "general_imperfect", "spacetime")
 
 
 class TestParetoFrontier:
@@ -180,7 +179,7 @@ class TestNaiveSolve:
 
 class TestRandomGame:
     def test_deterministic_per_seed(self):
-        for shape in ("normal_form", "perfect_info", "general_imperfect", "spacetime"):
+        for shape in SHAPES:
             params = GeneratorParams(seed=42, shape=shape)
             assert random_game(params) == random_game(params)
 

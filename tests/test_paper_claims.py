@@ -27,7 +27,6 @@ from ptesolver import (
     causal_dag,
     embed_normal_form,
     has_perfect_recall,
-    random_matrix,
     separation,
     solve,
     total_order,
@@ -35,7 +34,7 @@ from ptesolver import (
 )
 from ptesolver.spacetime import _Triangle
 
-from conftest import root_paths, square_normal_form
+from conftest import random_matrix, root_paths, square_normal_form
 
 Profile = tuple[str, ...]
 

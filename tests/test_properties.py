@@ -41,7 +41,6 @@ from ptesolver import (
     naive_solve,
     parse_game,
     parse_setup,
-    random_setup,
     serialize_game,
     serialize_setup,
     solve,
@@ -54,7 +53,7 @@ from ptesolver.exact import format_exact
 from ptesolver.formats import _indented_json, _write_trace
 from ptesolver.solver import _exact_key
 
-from conftest import FIXTURES, all_profiles, binary_tree_game, follow_profile, square_normal_form
+from conftest import FIXTURES, all_profiles, binary_tree_game, follow_profile, random_setup, square_normal_form
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 

@@ -26,7 +26,6 @@ from ptesolver import (
     embed_normal_form,
     has_perfect_recall,
     is_canonical,
-    random_setup,
     separation,
     serialize_setup,
     spacelike_agent_check,
@@ -37,7 +36,7 @@ from ptesolver import (
 from ptesolver import spacetime as spacetime_module
 from ptesolver.spacetime import HISTORY_SLACK, _Triangle
 
-from conftest import timelike_chain_setup
+from conftest import random_setup, timelike_chain_setup
 
 # The six-point example: histories the build must reproduce exactly.
 HEXA_COMPLETE = {
