@@ -15,8 +15,8 @@ index, ``Game._tree``, built once per ``Game`` object on first use and
 kept with it: validation reads reachability, canonical form and perfect
 recall off that walk, and ``solve`` its canonical check and outcome
 masks, so a command that validates and then solves walks the tree once.
-``canonicalize``'s rewrite step reads the subtrees it drops as ranges of
-that walk; each rewritten game still builds its own index.
+``canonicalize`` reads its input's index and makes no other; the game it
+returns builds its own on first use.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ class _Tree:
     ``up[i]`` is the position of that node (-1 for the root). If the
     successor map is not a tree, the first element reached twice is
     ``revisited``. The first canonical-form ``violation`` is taken when the
-    index is made; the tie flag on first use, since ``canonicalize``'s
-    intermediate games never need it. The index keeps the payoff maps it
+    index is made; the tie flag on first use, since ``is_canonical`` and
+    ``canonicalize`` never need it. The index keeps the payoff maps it
     reads, not the game, so it makes no reference cycle.
     """
 
@@ -304,65 +304,62 @@ def is_canonical(game: Game) -> bool:
 def canonicalize(game: Game) -> Game:
     """Prune subtrees that no pure strategy can reach.
 
-    Whenever a node sits in the same cell as one of its ancestors, any
-    strategy reaching it has already fixed the cell's action, so the node
-    is replaced by the child under that same action and its other
-    subtrees are dropped. Rewrites repeat until no violation remains; the
-    reachable outcome of every pure strategy profile is unchanged. Each
-    rewrite reads the subtrees it keeps and drops as ranges of the current
-    game's walk, so a successor map that is not a tree raises ValueError.
+    A node in the same cell as one of its ancestors is reached only by
+    strategies that have already fixed the cell's action, so it is
+    replaced by its child under that action, again while that child's
+    cell is fixed, and its other subtrees are dropped; the reachable
+    outcome of every pure strategy profile is unchanged. One walk from
+    the root does every replacement, carrying the action each cell is
+    fixed to on the current path; the game's fields are then filtered by
+    the kept elements in declaration order. The cost is linear in the
+    size of the game, and the input's index is the only one made. A
+    canonical game is returned as it is; a successor map that is not a
+    tree raises ValueError.
     """
-    current = game
-    while True:
-        tree = current._tree
-        if tree.revisited is not None:
-            raise ValueError(f"{tree.revisited!r} is reached twice from the root; the game is not a tree")
-        violation = tree.violation
-        if violation is None:
-            return current
-        _, ancestor, node = violation
-        pos, end, here = tree.pos, tree.end, tree.pos[node]
-        for kept_action in current.action_map[ancestor]:
-            branch = pos[current.successor_map[(ancestor, kept_action)]]
-            if branch <= here < end[branch]:
-                break
-        else:
-            raise RuntimeError(f"no action at {ancestor!r} leads to its same-cell descendant {node!r}")
-        keep = current.successor_map[(node, kept_action)]
-        # The node's subtree less the kept child's: two ranges of the walk.
-        kept = pos[keep]
-        dead = {*tree.order[here:kept], *tree.order[end[kept] : end[here]]}
-        parent_node, parent_action = tree.parent[node]
-
-        new_successors: dict[tuple[str, str], str] = {}
-        for (n, a), child in current.successor_map.items():
-            if n in dead:
-                continue
-            if (n, a) == (parent_node, parent_action):
-                new_successors[(n, a)] = keep
-            else:
-                new_successors[(n, a)] = child
-        new_nodes = tuple(n for n in current.choice_nodes if n not in dead)
-        new_outcomes = tuple(z for z in current.outcomes if z not in dead)
-        new_infosets = {}
-        for label, members in current.infosets.items():
-            survivors = tuple(n for n in members if n not in dead)
-            if survivors:
-                new_infosets[label] = survivors
-        current = Game(
-            players=current.players,
-            actions=current.actions,
-            choice_nodes=new_nodes,
-            outcomes=new_outcomes,
-            action_map={n: acts for n, acts in current.action_map.items() if n not in dead},
-            player_map={n: p for n, p in current.player_map.items() if n not in dead},
-            successor_map=new_successors,
-            utility_map={
-                (p, z): v for (p, z), v in current.utility_map.items() if z not in dead
-            },
-            infosets=new_infosets,
-            root=current.root,
-        )
+    tree = game._tree
+    if tree.revisited is not None:
+        raise ValueError(f"{tree.revisited!r} is reached twice from the root; the game is not a tree")
+    if tree.violation is None:
+        return game
+    cell_of = {node: label for label, members in game.infosets.items() for node in members}
+    successors = game.successor_map
+    fixed: dict[str, str] = {}
+    kept: set[str] = set()
+    resolved: dict[tuple[str, str], str] = {}
+    # Entries are (node, action, child): entering the edge fixes the node's
+    # cell to the action; (node, None, None) frees it after the subtree.
+    stack: list[tuple[str, str | None, str | None]] = [(game.root, None, game.root)]
+    while stack:
+        node, action, element = stack.pop()
+        if element is None:
+            del fixed[cell_of[node]]
+            continue
+        if action is not None:
+            fixed[cell_of[node]] = action
+            while cell_of.get(element) in fixed:
+                element = successors[element, fixed[cell_of[element]]]
+            resolved[node, action] = element
+        kept.add(element)
+        actions = game.action_map.get(element)
+        if actions:
+            stack.append((element, None, None))
+            stack.extend((element, a, successors[element, a]) for a in reversed(actions))
+    return Game(
+        players=game.players,
+        actions=game.actions,
+        choice_nodes=tuple(n for n in game.choice_nodes if n in kept),
+        outcomes=tuple(z for z in game.outcomes if z in kept),
+        action_map={n: acts for n, acts in game.action_map.items() if n in kept},
+        player_map={n: p for n, p in game.player_map.items() if n in kept},
+        successor_map={edge: resolved[edge] for edge in successors if edge[0] in kept},
+        utility_map={(p, z): v for (p, z), v in game.utility_map.items() if z in kept},
+        infosets={
+            label: survivors
+            for label, members in game.infosets.items()
+            if (survivors := tuple(n for n in members if n in kept))
+        },
+        root=game.root,
+    )
 
 
 def has_perfect_recall(game: Game) -> bool:

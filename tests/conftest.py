@@ -499,6 +499,45 @@ def binary_tree_game(depth: int, seed: int, entangled: bool = False) -> Game:
     )
 
 
+def entangled_chain_game(n: int, seed: int) -> Game:
+    """A chain of n choice nodes that is not canonical, for deep inputs.
+
+    Node ``n{i}`` moves ``L`` to ``n{i+1}`` (the last node to outcome
+    ``z{n}``) and ``R`` to outcome ``z{i}``; two players alternate. Each
+    node with ``i % 10 == 9`` joins the cell of node ``i - 4``, which has
+    the same player and is its ancestor through ``L``, so
+    ``canonicalize`` drops it.
+    """
+    rng = random.Random(seed)
+    players = ("P1", "P2")
+    nodes = [f"n{i}" for i in range(n)]
+    outcomes = [f"z{i}" for i in range(n + 1)]
+    infosets: dict[str, tuple[str, ...]] = {}
+    for i, node in enumerate(nodes):
+        label = f"c{i - 4}" if i % 10 == 9 else f"c{i}"
+        infosets[label] = infosets.get(label, ()) + (node,)
+    successor_map: dict[tuple[str, str], str] = {}
+    for i, node in enumerate(nodes):
+        successor_map[(node, "L")] = nodes[i + 1] if i + 1 < n else outcomes[n]
+        successor_map[(node, "R")] = outcomes[i]
+    return Game(
+        players=players,
+        actions=("L", "R"),
+        choice_nodes=tuple(nodes),
+        outcomes=tuple(outcomes),
+        action_map={node: ("L", "R") for node in nodes},
+        player_map={node: players[i % 2] for i, node in enumerate(nodes)},
+        successor_map=successor_map,
+        utility_map={
+            (player, z): Fraction(value)
+            for player in players
+            for z, value in zip(outcomes, _payoff_values(rng, len(outcomes), True))
+        },
+        infosets=infosets,
+        root=nodes[0],
+    )
+
+
 def _paths_of_length(length: int) -> list[str]:
     paths = [""]
     for _ in range(length):

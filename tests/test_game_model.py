@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from conftest import (
     all_profiles,
     binary_tree_game,
     entangle,
+    entangled_chain_game,
     follow_profile,
     mary_recall_game,
     random_tree_game,
@@ -322,12 +324,44 @@ class TestCanonicalize:
         games = [entangle(random_tree_game(seed), seed) for seed in range(200)]
         games += [entangle(random_tree_game(seed, max_depth=6, max_outcomes=40), seed) for seed in range(100)]
         games += [binary_tree_game(10, seed, entangled=True) for seed in (1, 2)]
+        games += [entangled_chain_game(300, 1)]
         rewritten = 0
         for game in games:
             pruned, reference = canonicalize(game), subtree_set_canonicalize(game)
             assert pruned == reference and serialize_game(pruned) == serialize_game(reference)
             rewritten += pruned is not game
         assert rewritten > 150
+
+    def test_one_index_per_canonicalize(self, monkeypatch):
+        game = binary_tree_game(10, 1, entangled=True)
+        made = []
+
+        def counted(tree_self, *args):
+            made.append(tree_self)
+            real_init(tree_self, *args)
+
+        real_init = _Tree.__init__
+        monkeypatch.setattr(_Tree, "__init__", counted)
+        pruned = canonicalize(game)
+        assert len(made) == 1 and made[0] is game._tree
+        assert len(pruned.choice_nodes) < len(game.choice_nodes) and "_tree" not in vars(pruned)
+
+    def test_a_deep_chain_is_pruned_without_recursion(self):
+        game = entangled_chain_game(4000, 1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            pruned = canonicalize(game)
+            assert is_canonical(pruned) and canonicalize(pruned) is pruned
+        finally:
+            sys.setrecursionlimit(limit)
+        dropped = [node for i, node in enumerate(game.choice_nodes) if i % 10 == 9]
+        assert len(pruned.choice_nodes) == 3600
+        assert set(pruned.choice_nodes) == set(game.choice_nodes) - set(dropped)
+        parent_edge = {child: edge for edge, child in game.successor_map.items()}
+        for node in dropped:
+            assert pruned.successor_map[parent_edge[node]] == game.successor_map[(node, "L")]
+            assert game.successor_map[(node, "R")] not in pruned.outcomes
 
     def test_a_successor_map_that_is_not_a_tree_is_refused(self):
         joined = replace(chain_game(), successor_map={**chain_game().successor_map, ("n1", "R"): "zLL"})

@@ -8,6 +8,8 @@
 - Dynamic games: a setup whose points are pairwise timelike builds a game
   of perfect information, with singleton cells, perfect recall and one
   live multi-action reached cell per non-final step.
+- Without ties the equilibrium is at most unique and Pareto-optimal, on
+  games of the benchmark's sizes.
 """
 
 from __future__ import annotations
@@ -24,9 +26,12 @@ from ptesolver import (
     TIMELIKE,
     SpacetimeSetup,
     build_game,
+    canonicalize,
     causal_dag,
     embed_normal_form,
+    game_has_ties,
     has_perfect_recall,
+    pareto_frontier,
     separation,
     solve,
     total_order,
@@ -34,7 +39,13 @@ from ptesolver import (
 )
 from ptesolver.spacetime import _Triangle
 
-from conftest import random_matrix, root_paths, square_normal_form
+from conftest import (
+    binary_tree_game,
+    random_matrix,
+    root_paths,
+    square_normal_form,
+    timelike_chain_setup,
+)
 
 Profile = tuple[str, ...]
 
@@ -150,3 +161,25 @@ def test_timelike_setups_build_games_of_perfect_information(setup):
             live = {action for z in state.surviving for n, action in paths[z] if n == node}
             live_rich_cells += len(live) >= 2
         assert live_rich_cells == (1 if len(state.surviving) >= 2 else 0), state.step
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda seed: binary_tree_game(10, seed),
+        lambda seed: square_normal_form(24, seed),
+        lambda seed: canonicalize(binary_tree_game(10, seed, entangled=True)),
+        lambda seed: build_game(timelike_chain_setup(160, seed)),
+    ],
+    ids=["tree-depth-10", "matrix-24x24", "canonicalized-depth-10", "chain-160"],
+)
+def test_tie_free_equilibria_are_at_most_unique_and_pareto_optimal(make):
+    unique = 0
+    for seed in range(1, 5):
+        game = make(seed)
+        assert not game_has_ties(game)
+        fixpoint = solve(game).fixpoint
+        assert len(fixpoint) <= 1, seed
+        assert fixpoint <= pareto_frontier(game), seed
+        unique += len(fixpoint)
+    assert unique >= 2
