@@ -20,6 +20,14 @@ pending history's children, and :func:`build_game` takes its edges from
 it. A valid setup lists one utilities entry per complete history, so the
 walk stops, and validation reports ``TOO_MANY_HISTORIES``, once it has
 found more than ``HISTORY_SLACK`` complete histories beyond that count.
+
+Validation and the build take time quadratic in the points, plus the
+total length of the histories they walk. The precedence test compares
+each pair of points once, on integers: each point is scaled by the lcm
+of its own coordinates' denominators, which keeps the interval's sign
+exact without Fraction arithmetic. The contingency checks make one pass
+of bit masks over the triangle, and a forced skip costs O(1) unless the
+skipped point's row has to be compared in full.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .game import Game, ValidationIssue, _repeats
@@ -144,17 +154,56 @@ def separation(p: Sequence[Fraction], q: Sequence[Fraction], dimension: int) -> 
     return Separation(TIMELIKE, earlier=0 if p[-1] < q[-1] else 1)
 
 
+# A point as integers: (space numerators, their squared norm, time numerator, denominator).
+_Scaled = tuple[tuple[int, ...], int, int, int]
+
+
+def _scaled(points: Sequence[DecisionPoint], dimension: int) -> list[_Scaled]:
+    """Each point as integers over the lcm of its own denominators.
+
+    Scaling each point on its own, not all of them by one common
+    denominator, keeps its integers about as long as its own coordinates.
+    Raises like :func:`separation` once there is a pair to compare and a
+    point has the wrong number of coordinates.
+    """
+    if len(points) > 1 and any(len(point.coords) != dimension for point in points):
+        raise ValueError(f"coordinates must have length {dimension}")
+    scaled = []
+    for point in points:
+        den = lcm(*(c.denominator for c in point.coords))
+        space = [c.numerator * (den // c.denominator) for c in point.coords]
+        # With no coordinates at all (dimension 0) every pair is colocated.
+        time = space.pop() if space else 0
+        scaled.append((tuple(space), sum(x * x for x in space), time, den))
+    return scaled
+
+
+def _time_gap(p: _Scaled, q: _Scaled) -> int:
+    """q's time minus p's, times a positive factor, if the pair is timelike or lightlike; else 0.
+
+    For p = P/Dp and q = Q/Dq the interval times (Dp*Dq)**2 is
+    sum((Q_i*Dp - P_i*Dq)**2) - (Q_t*Dp - P_t*Dq)**2 with the space sum
+    expanded over the precomputed norms, so its sign is exact. Colocated
+    pairs have a zero time gap and spacelike ones return 0.
+    """
+    p_space, p_norm, p_time, p_den = p
+    q_space, q_norm, q_time, q_den = q
+    gap = q_time * p_den - p_time * q_den
+    space = q_den * q_den * p_norm + p_den * p_den * q_norm - 2 * p_den * q_den * sum(map(mul, p_space, q_space))
+    return 0 if gap * gap < space else gap
+
+
 def causal_dag(setup: SpacetimeSetup) -> dict[str, frozenset[str]]:
     """The timelike-precedence relation: id -> ids it strictly precedes."""
     edges: dict[str, set[str]] = {point.id: set() for point in setup.points}
-    for i, p in enumerate(setup.points):
-        for q in setup.points[i + 1 :]:
-            sep = separation(p.coords, q.coords, setup.dimension)
-            if sep.kind == TIMELIKE:
-                if sep.earlier == 0:
-                    edges[p.id].add(q.id)
-                else:
-                    edges[q.id].add(p.id)
+    scaled = _scaled(setup.points, setup.dimension)
+    for i, (p, p_int) in enumerate(zip(setup.points, scaled)):
+        for q, q_int in zip(setup.points[i + 1 :], scaled[i + 1 :]):
+            gap = _time_gap(p_int, q_int)
+            if gap > 0:
+                edges[p.id].add(q.id)
+            elif gap < 0:
+                edges[q.id].add(p.id)
     return {pid: frozenset(succ) for pid, succ in edges.items()}
 
 
@@ -169,17 +218,13 @@ def total_order(setup: SpacetimeSetup) -> list[DecisionPoint]:
     return sorted(setup.points, key=lambda pt: (pt.coords[-1], pt.coords[:-1], pt.id))
 
 
-def _rows_consistent(row_l: Sequence[str | None], row_k: Sequence[str | None]) -> bool:
-    """Every requirement of the earlier row is met by the later row's entries."""
-    return all(a is None or a == row_k[m] for m, a in enumerate(row_l))
-
-
 class _Triangle:
     """The points in total order and their contingency rows, derived once.
 
     Row k has one entry per earlier point: the action the contingency
-    requires there, or None. A prefix covering the first k points leaves
-    a decision pending at point k iff it meets row k. The histories, and
+    requires there, or None; ``last[k]`` is the position of its last
+    requirement, or -1. A prefix covering the first k points leaves a
+    decision pending at point k iff it meets row k. The histories, and
     the children of each pending one, are walked on first use and kept
     with the object, which lives for one validation or build: validation
     reads the complete histories and :func:`build_game` the children as
@@ -190,28 +235,35 @@ class _Triangle:
     def __init__(self, setup: SpacetimeSetup) -> None:
         self.bound = len(setup.utilities) + HISTORY_SLACK
         self.order = total_order(setup)
+        ids = [point.id for point in self.order]
         self.rows: list[tuple[str | None, ...]] = []
-        for k, point in enumerate(self.order):
-            assigned = setup.contingency.get(point.id, {})
-            self.rows.append(tuple(assigned.get(earlier.id) for earlier in self.order[:k]))
-
-    def pending(self, prefix: tuple[str | None, ...]) -> bool:
-        """Whether a decision happens at the point after ``prefix``."""
-        return _rows_consistent(self.rows[len(prefix)], prefix)
+        self.last: list[int] = []
+        for k, pid in enumerate(ids):
+            row = tuple(map(setup.contingency.get(pid, {}).get, ids[:k]))
+            last = k - 1
+            while last >= 0 and row[last] is None:
+                last -= 1
+            self.rows.append(row)
+            self.last.append(last)
 
     def successor(self, history: History, action: str) -> History:
         """Extend a history by a decision plus any forced skips.
 
         After the chosen action, every point whose contingency row is not
         met gets the dummy entry, stopping at the next point with a real
-        decision pending or at completion. Distinct (history, action) pairs
+        decision pending or at completion. A row whose last requirement
+        falls on a skipped point cannot be met; any other row is compared
+        in full with the extended prefix. Distinct (history, action) pairs
         give distinct results, since the input is recoverable by stripping
         the trailing dummies and the last action.
         """
         extended = history.actions + (action,)
-        while len(extended) < len(self.order) and not self.pending(extended):
-            extended += (None,)
-        return History(extended)
+        start = k = len(extended)
+        while k < len(self.order) and (
+            self.last[k] >= start or not all(a is None or a == b for a, b in zip(self.rows[k], extended))
+        ):
+            k += 1
+        return History(extended + (None,) * (k - start))
 
     @cached_property
     def histories(self) -> tuple[list[History], list[History], list[list[History]]]:
@@ -273,16 +325,40 @@ def _triangle_issues(setup: SpacetimeSetup, triangle: _Triangle) -> list[Validat
         return errors
 
     dag = causal_dag(setup)
-    rows = triangle.rows
-    for k, point in enumerate(order):
-        row_k = rows[k]
-        for l in range(k):
+    # Masks over order positions. Bit l of precedes[k]: order[l] is a
+    # timelike predecessor of order[k]. Over the rows already passed, bit l
+    # of required_at[m]: row l requires an action at m; bit l of
+    # equal_at[m][a]: the action it requires there is a.
+    precedes = [0] * len(order)
+    for l, point in enumerate(order):
+        for later in dag[point.id]:
+            precedes[index[later]] |= 1 << l
+    required_at = [0] * len(order)
+    equal_at: list[dict[str, int]] = [{} for _ in order]
+    for k, (point, row_k) in enumerate(zip(order, triangle.rows)):
+        # Bit l of conflicts: row l requires something row k does not; of
+        # entries: row k assigns an action to order[l]; of bad: one that
+        # order[l] does not offer.
+        entries = conflicts = bad = 0
+        for m, entry in enumerate(row_k):
+            conflicts |= required_at[m] ^ equal_at[m].get(entry, 0)
+            if entry is not None:
+                entries |= 1 << m
+                if entry not in order[m].actions:
+                    bad |= 1 << m
+                required_at[m] |= 1 << k
+                equal_at[m][entry] = equal_at[m].get(entry, 0) | 1 << k
+        before = precedes[k]
+        # Only the positions with an issue are visited, in ascending order.
+        flagged = entries & (~before | conflicts | bad) | before & ~entries & ~conflicts
+        while flagged:
+            bit = flagged & -flagged
+            flagged ^= bit
+            l = bit.bit_length() - 1
             earlier = order[l]
             entry = row_k[l]
-            precedes = point.id in dag[earlier.id]
-            consistent = _rows_consistent(rows[l], row_k)
             if entry is not None:
-                if not precedes:
+                if not before & bit:
                     errors.append(
                         ValidationIssue(
                             "NOT_CAUSAL",
@@ -291,7 +367,7 @@ def _triangle_issues(setup: SpacetimeSetup, triangle: _Triangle) -> list[Validat
                             (point.id, earlier.id),
                         )
                     )
-                if not consistent:
+                if conflicts & bit:
                     errors.append(
                         ValidationIssue(
                             "INCONSISTENT_ROW",
@@ -300,7 +376,7 @@ def _triangle_issues(setup: SpacetimeSetup, triangle: _Triangle) -> list[Validat
                             (point.id, earlier.id),
                         )
                     )
-                if entry not in earlier.actions:
+                if bad & bit:
                     errors.append(
                         ValidationIssue(
                             "BAD_CONTINGENT_ACTION",
@@ -309,7 +385,7 @@ def _triangle_issues(setup: SpacetimeSetup, triangle: _Triangle) -> list[Validat
                             (point.id, earlier.id, entry),
                         )
                     )
-            elif precedes and consistent:
+            else:
                 errors.append(
                     ValidationIssue(
                         "MISSING_CONTINGENCY",
@@ -435,9 +511,10 @@ def spacelike_agent_check(setup: SpacetimeSetup) -> bool:
     for point in setup.points:
         by_agent.setdefault(point.agent, []).append(point)
     for points in by_agent.values():
-        for i, p in enumerate(points):
-            for q in points[i + 1 :]:
-                if separation(p.coords, q.coords, setup.dimension).kind != TIMELIKE:
+        scaled = _scaled(points, setup.dimension)
+        for i, p in enumerate(scaled):
+            for q in scaled[i + 1 :]:
+                if not _time_gap(p, q):
                     return False
     return True
 

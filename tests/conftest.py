@@ -10,13 +10,16 @@ from typing import Sequence
 import pytest
 
 from ptesolver import (
+    TIMELIKE,
     DecisionPoint,
     Game,
     SpacetimeSetup,
+    ValidationIssue,
     build_game,
     causal_dag,
     embed_normal_form,
     parse_setup,
+    separation,
     total_order,
 )
 from ptesolver.spacetime import _Triangle
@@ -582,3 +585,100 @@ def timelike_chain_setup(n: int, seed: int) -> SpacetimeSetup:
         contingency={f"p{k}": {f"p{j}": "go" for j in range(k)} for k in range(1, n)},
         utilities={key: {agent: Fraction(payoffs[agent][i]) for agent in agents} for i, key in enumerate(keys)},
     )
+
+
+# -- pairwise references for the spacetime builder ----------------------------
+
+
+def pairwise_causal_dag(setup: SpacetimeSetup) -> dict[str, frozenset[str]]:
+    """`causal_dag` as one `separation` call on Fractions per pair."""
+    edges: dict[str, set[str]] = {point.id: set() for point in setup.points}
+    for i, p in enumerate(setup.points):
+        for q in setup.points[i + 1 :]:
+            sep = separation(p.coords, q.coords, setup.dimension)
+            if sep.kind == TIMELIKE:
+                if sep.earlier == 0:
+                    edges[p.id].add(q.id)
+                else:
+                    edges[q.id].add(p.id)
+    return {pid: frozenset(succ) for pid, succ in edges.items()}
+
+
+def pairwise_triangle_issues(setup: SpacetimeSetup) -> list[ValidationIssue]:
+    """The contingency checks of `validate_setup` as a scan over every pair of rows.
+
+    Cubic in the points: each (row, earlier point) pair compares two whole
+    rows. Precedence comes from `pairwise_causal_dag`.
+    """
+    errors: list[ValidationIssue] = []
+    order = total_order(setup)
+    index = {point.id: position for position, point in enumerate(order)}
+
+    for pid, assigned in setup.contingency.items():
+        if pid not in index:
+            errors.append(ValidationIssue("UNKNOWN_POINT", f"contingency row for unknown point {pid!r}", (pid,)))
+            continue
+        for other in assigned:
+            if other not in index:
+                errors.append(
+                    ValidationIssue("UNKNOWN_POINT", f"row {pid!r} references unknown point {other!r}", (pid, other))
+                )
+            elif index[other] >= index[pid]:
+                errors.append(
+                    ValidationIssue(
+                        "NOT_EARLIER",
+                        f"row {pid!r} assigns an action to {other!r}, which does not precede it in the total order",
+                        (pid, other),
+                    )
+                )
+    if errors:
+        return errors
+
+    def consistent(row_l: Sequence[str | None], row_k: Sequence[str | None]) -> bool:
+        return all(a is None or a == row_k[m] for m, a in enumerate(row_l))
+
+    dag = pairwise_causal_dag(setup)
+    rows = [tuple(setup.contingency.get(p.id, {}).get(e.id) for e in order[:k]) for k, p in enumerate(order)]
+    for k, point in enumerate(order):
+        row_k = rows[k]
+        for l in range(k):
+            earlier = order[l]
+            entry = row_k[l]
+            precedes = point.id in dag[earlier.id]
+            if entry is not None:
+                if not precedes:
+                    errors.append(
+                        ValidationIssue(
+                            "NOT_CAUSAL",
+                            f"row {point.id!r} assigns an action to {earlier.id!r}, "
+                            "which is not a timelike predecessor",
+                            (point.id, earlier.id),
+                        )
+                    )
+                if not consistent(rows[l], row_k):
+                    errors.append(
+                        ValidationIssue(
+                            "INCONSISTENT_ROW",
+                            f"row {point.id!r} assigns an action to {earlier.id!r} "
+                            "although their requirements conflict",
+                            (point.id, earlier.id),
+                        )
+                    )
+                if entry not in earlier.actions:
+                    errors.append(
+                        ValidationIssue(
+                            "BAD_CONTINGENT_ACTION",
+                            f"row {point.id!r} requires {entry!r} at {earlier.id!r}, "
+                            "which is not one of its actions",
+                            (point.id, earlier.id, entry),
+                        )
+                    )
+            elif precedes and consistent(rows[l], row_k):
+                errors.append(
+                    ValidationIssue(
+                        "MISSING_CONTINGENCY",
+                        f"row {point.id!r} must assign an action to timelike predecessor {earlier.id!r}",
+                        (point.id, earlier.id),
+                    )
+                )
+    return errors

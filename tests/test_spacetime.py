@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -9,9 +10,12 @@ import time
 from fractions import Fraction
 from dataclasses import replace
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptesolver import (
     COLOCATED,
@@ -36,7 +40,7 @@ from ptesolver import (
 from ptesolver import spacetime as spacetime_module
 from ptesolver.spacetime import HISTORY_SLACK, _Triangle
 
-from conftest import random_setup, timelike_chain_setup
+from conftest import pairwise_causal_dag, pairwise_triangle_issues, random_setup, timelike_chain_setup
 
 # The six-point example: histories the build must reproduce exactly.
 HEXA_COMPLETE = {
@@ -183,6 +187,94 @@ class TestOrdering:
         assert abs(order.index("p") - order.index("q")) == 1
 
 
+coordinates = st.fractions(-20, 20, max_denominator=1000)
+
+
+@st.composite
+def point_sets(draw) -> SpacetimeSetup:
+    """1-12 points of two agents in dimension 1-4, with colocated and lightlike pairs mixed in."""
+    dimension = draw(st.integers(1, 4))
+    spots: list[tuple[Fraction, ...]] = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(("fresh", "repeat", "lightlike"))) if spots else "fresh"
+        if kind == "fresh":
+            spots.append(tuple(draw(coordinates) for _ in range(dimension)))
+            continue
+        base = draw(st.sampled_from(spots))
+        if kind == "repeat":
+            spots.append(base)
+            continue
+        # A light signal from or to base, along one space axis or, as (3, 4, 5), two.
+        step = draw(coordinates.filter(bool))
+        shift = [Fraction(0)] * dimension
+        if dimension >= 3 and draw(st.booleans()):
+            shift[0], shift[1], shift[-1] = 3 * step, 4 * step, 5 * step
+        elif dimension >= 2:
+            shift[draw(st.integers(0, dimension - 2))] = shift[-1] = step
+        spots.append(tuple(a + b for a, b in zip(base, shift)))
+    points = tuple(
+        DecisionPoint(f"p{k}", draw(st.sampled_from(("A", "B"))), spot, ("x",)) for k, spot in enumerate(spots)
+    )
+    return SpacetimeSetup(dimension, ("A", "B"), ("x",), points, {}, {})
+
+
+def pairwise_agent_check(setup: SpacetimeSetup) -> bool:
+    return all(
+        separation(p.coords, q.coords, setup.dimension).kind == TIMELIKE
+        for i, p in enumerate(setup.points)
+        for q in setup.points[i + 1 :]
+        if p.agent == q.agent
+    )
+
+
+class TestIntegerIntervals:
+    """`causal_dag` and `spacelike_agent_check` compare integers; `separation` compares Fractions."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(point_sets())
+    def test_equal_to_the_fraction_reference(self, setup):
+        assert causal_dag(setup) == pairwise_causal_dag(setup)
+        assert spacelike_agent_check(setup) == pairwise_agent_check(setup)
+
+    def test_hundred_digit_denominators(self):
+        # Each point has its own 100-digit denominator, so one common
+        # denominator for all of them would have about 16 000 digits.
+        rng = random.Random(1)
+        denominators: set[int] = set()
+        while len(denominators) < 160:
+            denominators.add(rng.randrange(10**99, 10**100))
+
+        def over(den: int, low: int, high: int) -> Fraction:
+            numerator = rng.randrange(low * den, high * den)
+            while gcd(numerator, den) != 1:
+                numerator += 1
+            return Fraction(numerator, den)
+
+        points = tuple(
+            DecisionPoint(f"p{k}", "A", (over(den, -80, 80), over(den, 0, 160)), ("x",))
+            for k, den in enumerate(sorted(denominators))
+        )
+        setup = SpacetimeSetup(2, ("A",), ("x",), points, {}, {})
+        assert len({c.denominator for p in points for c in p.coords}) == 160
+        start = time.perf_counter()
+        dag = causal_dag(setup)
+        elapsed = time.perf_counter() - start
+        assert dag == pairwise_causal_dag(setup)
+        assert 0 < sum(map(len, dag.values())) < 160 * 159 // 2
+        assert elapsed < 2.0
+
+    def test_wrong_coordinate_count_raises_like_separation(self):
+        setup = two_point_setup(
+            points=(
+                DecisionPoint("p", "A", (Fraction(0), Fraction(0)), ("x", "y")),
+                DecisionPoint("q", "B", (Fraction(0),), ("x", "y")),
+            )
+        )
+        with pytest.raises(ValueError, match="coordinates must have length 2"):
+            causal_dag(setup)
+        assert causal_dag(replace(setup, points=setup.points[1:])) == {"q": frozenset()}
+
+
 class TestTriangle:
     def test_hexa_triangle_valid(self, hexa_setup):
         assert validate_setup(hexa_setup).ok
@@ -237,6 +329,50 @@ class TestTriangle:
         setup = two_point_setup(contingency={"p": {"q": "x"}})
         codes = {i.code for i in validate_setup(setup).errors}
         assert "NOT_EARLIER" in codes
+
+
+# The contingency issues that mutated rows over known points can raise.
+TRIANGLE_CODES = {"NOT_EARLIER", "NOT_CAUSAL", "INCONSISTENT_ROW", "BAD_CONTINGENT_ACTION", "MISSING_CONTINGENCY"}
+
+
+def mutated_contingencies(setup: SpacetimeSetup, rng: random.Random) -> list[SpacetimeSetup]:
+    """The setup with one entry dropped, one added, and one set to an action off the point's list."""
+    mutants = []
+    rows = {pid: dict(row) for pid, row in setup.contingency.items()}
+    filled = sorted(pid for pid, row in rows.items() if row)
+    points = {point.id: point for point in setup.points}
+    if filled:
+        pid = rng.choice(filled)
+        row = dict(rows[pid])
+        del row[rng.choice(sorted(row))]
+        mutants.append({**rows, pid: row})
+    if len(points) > 1:
+        pid, other = rng.sample(sorted(points), 2)
+        mutants.append({**rows, pid: {**rows.get(pid, {}), other: rng.choice(points[other].actions)}})
+    if filled:
+        pid = rng.choice(filled)
+        other = rng.choice(sorted(rows[pid]))
+        off_list = [a for a in setup.actions if a not in points[other].actions] + ["nowhere"]
+        mutants.append({**rows, pid: {**rows[pid], other: rng.choice(off_list)}})
+    return [replace(setup, contingency=contingency) for contingency in mutants]
+
+
+class TestTriangleReference:
+    """The mask pass reports what the pairwise row scan reports, issue for issue."""
+
+    def test_mutated_contingencies_report_as_the_pairwise_scan(self, hexa_setup):
+        seen: set[str] = set()
+        setups = [hexa_setup] + [random_setup(seed, max_points=7) for seed in range(300)]
+        for seed, setup in enumerate(setups):
+            for mutant in mutated_contingencies(setup, random.Random(seed)):
+                reference = pairwise_triangle_issues(mutant)
+                errors = validate_setup(mutant).errors
+                if reference:
+                    assert errors == tuple(reference)
+                else:
+                    assert not TRIANGLE_CODES & {issue.code for issue in errors}
+                seen.update(issue.code for issue in reference)
+        assert seen == TRIANGLE_CODES
 
 
 class TestMatches:
@@ -538,6 +674,47 @@ class TestBuildGame:
         )
         assert done.returncode == 0, done.stderr[-2000:]
         assert done.stdout.strip() == "151"
+
+    @pytest.mark.slow
+    def test_thousand_point_chain_builds_in_seconds(self):
+        # In a child, under a recursion limit of 100. A quadratic build takes
+        # under a second on a 2-vCPU VM; the 10 s bound fails a cubic one
+        # (4.4 s at 600 points, so about 20 s here).
+        n = 1000
+        tests = Path(__file__).parent
+        script = (
+            "import sys, time\n"
+            "from conftest import timelike_chain_setup\n"
+            "from ptesolver import build_game, serialize_game\n"
+            f"setup = timelike_chain_setup({n}, 1)\n"
+            "sys.setrecursionlimit(100)\n"
+            "start = time.perf_counter()\n"
+            "game = build_game(setup)\n"
+            "print(time.perf_counter() - start, file=sys.stderr)\n"
+            "print(serialize_game(game))\n"
+        )
+        paths = [str(tests.parent / "src"), str(tests)]
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert float(done.stderr) < 10.0
+        doc = json.loads(done.stdout)
+        # Node k is k times go; the outcomes in preorder are all go, then
+        # stop at n-1, n-2, ..., 0 padded with `_`.
+        nodes = [",".join(["go"] * k) for k in range(n)]
+        stops = {k: ",".join(["go"] * k + ["stop"] + ["_"] * (n - 1 - k)) for k in range(n)}
+        outcomes = [",".join(["go"] * n)] + [stops[k] for k in reversed(range(n))]
+        assert [node["id"] for node in doc["nodes"]] == nodes
+        assert [outcome["id"] for outcome in doc["outcomes"]] == outcomes
+        for k, node in enumerate(doc["nodes"]):
+            after = nodes[k + 1] if k + 1 < n else outcomes[0]
+            assert node["moves"] == {"go": after, "stop": stops[k]}
+            assert (node["player"], node["infoset"]) == ("AB"[k % 2], f"p{k}")
 
     def test_random_setups_build_canonical_games(self):
         for seed in range(60):
