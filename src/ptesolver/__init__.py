@@ -18,10 +18,10 @@ _EXPORTS = {
     name: module
     for module, names in {
         "exact": "format_exact parse_exact",
-        "game": "Game ValidationIssue ValidationReport canonicalize embed_normal_form game_has_ties"
-        " has_perfect_recall is_canonical validate_game",
+        "game": "Game ValidationIssue ValidationReport canonicalize embed_normal_form has_perfect_recall"
+        " is_canonical validate_game",
         "solver": "EMPTY MULTIPLE_WITH_TIES UNIQUE NotCanonicalError SolveResult SolverState solve",
-        "spacetime": "COLOCATED SPACELIKE TIMELIKE DecisionPoint History Separation SetupError SetupReport"
+        "spacetime": "COLOCATED SPACELIKE TIMELIKE DecisionPoint Separation SetupError SetupReport"
         " SpacetimeSetup build_game causal_dag separation spacelike_agent_check total_order validate_setup",
         "oracle": "naive_solve normal_form_maximin pareto_frontier search_empty_pte",
         "formats": "ParseError export_dot game_to_jsonable parse_game parse_setup serialize_game"

@@ -6,9 +6,11 @@ codes for `solve` mirror the solver status: 0 unique, 2 empty fixpoint,
 3 multiple survivors under ties. I/O, parse and validation problems exit
 with 1 and a diagnostic on standard error.
 
-Every command loads `formats`, `game` and `solver`; only the commands
-that use them import `spacetime` (`spacetime-build`) and `oracle`
-(`oracle-compare`, `search-counterexample`), when they run.
+Every command but `validate` checks a game's structure only and computes
+none of the report's flags. Every command loads `formats`, `game` and
+`solver`; only the commands that use them import `spacetime`
+(`spacetime-build`) and `oracle` (`oracle-compare`,
+`search-counterexample`), when they run.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import sys
 from functools import cache
 
 from .formats import (
-    ParseError,
     _indented_json,
     _verdict,
     _write_trace,
@@ -29,8 +30,8 @@ from .formats import (
     parse_setup,
     serialize_game,
 )
-from .game import canonicalize, validate_game
-from .solver import EMPTY, MULTIPLE_WITH_TIES, NotCanonicalError, solve
+from .game import _structural_issues, canonicalize, validate_game
+from .solver import EMPTY, MULTIPLE_WITH_TIES, solve
 
 STATUS_EXIT = {EMPTY: 2, MULTIPLE_WITH_TIES: 3}
 
@@ -43,10 +44,11 @@ def _read(path: str) -> str:
 
 
 def _load_valid_game(path: str):
+    """Parse a game and check its structure only; the flags are `validate`'s."""
     game = parse_game(_read(path))
-    report = validate_game(game)
-    if report.errors:
-        for issue in report.errors:
+    errors = _structural_issues(game)
+    if errors:
+        for issue in errors:
             print(f"error {issue.code}: {issue.message}", file=sys.stderr)
         raise SystemExit(1)
     return game
@@ -205,10 +207,8 @@ def run(argv: list[str]) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ParseError, NotCanonicalError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # ParseError, NotCanonicalError and SetupError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RecursionError, MemoryError) as exc:

@@ -268,11 +268,6 @@ def _structural_issues(game: Game) -> list[ValidationIssue]:
     return issues
 
 
-def game_has_ties(game: Game) -> bool:
-    """True iff some player gets the same payoff at two distinct outcomes."""
-    return game._tree.has_ties
-
-
 def _canonical_violation(game: Game, tree: _Tree) -> tuple[str, str, str] | None:
     """First (cell, ancestor, descendant) with both ends in one cell.
 

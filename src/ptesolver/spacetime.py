@@ -9,17 +9,20 @@ i.e. the earlier actions that must have happened for the decision to be
 made at all. Consistent assignments of actions to points are histories,
 and the histories form an extensive-form game with imperfect information
 whose information sets group the incomplete histories by pending point.
+A history is its key: its actions in the total order joined by commas,
+with ``_`` where no decision happens, so the empty history is ``""``.
 
 Public entry points: :func:`separation`, :func:`causal_dag`,
 :func:`total_order`, :func:`validate_setup`, :func:`spacelike_agent_check`
 and :func:`build_game`. The order, the contingency rows and the histories
 are derived once per validation or build, and :func:`build_game`
 validates once, raising :class:`SetupError` with the full report when the
-setup is invalid. One walk enumerates the histories together with each
-pending history's children, and :func:`build_game` takes its edges from
-it. A valid setup lists one utilities entry per complete history, so the
-walk stops, and validation reports ``TOO_MANY_HISTORIES``, once it has
-found more than ``HISTORY_SLACK`` complete histories beyond that count.
+setup is invalid. One walk enumerates the history keys together with
+each pending history's children, joining each key once, and
+:func:`build_game` takes its nodes and edges from it. A valid setup
+lists one utilities entry per complete history, so the walk stops, and
+validation reports ``TOO_MANY_HISTORIES``, once it has found more than
+``HISTORY_SLACK`` complete histories beyond that count.
 
 Validation and the build take time quadratic in the points, plus the
 total length of the histories they walk. The precedence test compares
@@ -39,7 +42,7 @@ from math import lcm
 from operator import mul
 from typing import Mapping, Sequence
 
-from .game import Game, ValidationIssue, _repeats
+from .game import Game, ValidationIssue
 
 TIMELIKE = "timelike"
 SPACELIKE = "spacelike"
@@ -74,37 +77,14 @@ class DecisionPoint:
 
 
 @dataclass(frozen=True)
-class History:
-    """Actions assigned to a prefix of the totally ordered decision points.
-
-    An entry is None where the point's contingency row is not matched, so
-    no decision happens there. A history over all n points is complete;
-    shorter ones are incomplete.
-    """
-
-    actions: tuple[str | None, ...]
-
-    def key(self) -> str:
-        return ",".join("_" if a is None else a for a in self.actions)
-
-    @classmethod
-    def from_key(cls, text: str) -> "History":
-        if text == "":
-            return cls(())
-        return cls(tuple(None if part == "_" else part for part in text.split(",")))
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-
-@dataclass(frozen=True)
 class SpacetimeSetup:
     """Decision points plus the data needed to build the induced game.
 
     ``contingency`` maps a point id to {earlier point id: required
     action}; omitted entries mean no requirement is representable there
-    (the dummy value). ``utilities`` maps the serialized complete history
-    (see :meth:`History.key`) to {agent: payoff}.
+    (the dummy value). ``utilities`` maps each complete history's key to
+    {agent: payoff}: its actions in the total order, joined by commas,
+    with ``_`` where no decision happens.
     """
 
     dimension: int
@@ -118,8 +98,6 @@ class SpacetimeSetup:
 @dataclass(frozen=True)
 class SetupReport:
     errors: tuple[ValidationIssue, ...]
-    warnings: tuple[ValidationIssue, ...]
-    has_ties: bool = False
 
     @property
     def ok(self) -> bool:
@@ -246,51 +224,55 @@ class _Triangle:
             self.rows.append(row)
             self.last.append(last)
 
-    def successor(self, history: History, action: str) -> History:
-        """Extend a history by a decision plus any forced skips.
+    def successor(self, history: tuple[str, ...], action: str) -> tuple[str, ...]:
+        """Extend a history's actions by a decision plus any forced skips.
 
         After the chosen action, every point whose contingency row is not
-        met gets the dummy entry, stopping at the next point with a real
-        decision pending or at completion. A row whose last requirement
-        falls on a skipped point cannot be met; any other row is compared
-        in full with the extended prefix. Distinct (history, action) pairs
-        give distinct results, since the input is recoverable by stripping
-        the trailing dummies and the last action.
+        met gets the dummy ``_``, stopping at the next point with a real
+        decision pending or at completion. No point offers ``_`` and every
+        row entry is one of its point's actions, so a dummy never meets a
+        requirement. A row whose last requirement falls on a skipped point
+        cannot be met; any other row is compared in full with the extended
+        prefix. Distinct (history, action) pairs give distinct results,
+        since the input is recoverable by stripping the trailing dummies
+        and the last action.
         """
-        extended = history.actions + (action,)
+        extended = history + (action,)
         start = k = len(extended)
         while k < len(self.order) and (
             self.last[k] >= start or not all(a is None or a == b for a, b in zip(self.rows[k], extended))
         ):
             k += 1
-        return History(extended + (None,) * (k - start))
+        return extended + ("_",) * (k - start)
 
     @cached_property
-    def histories(self) -> tuple[list[History], list[History], list[list[History]]]:
-        """Consistent histories in preorder: (complete, pending, children).
+    def histories(self) -> tuple[list[str], list[tuple[str, DecisionPoint, list[str]]]]:
+        """Keys of the consistent histories in preorder: (complete, pending).
 
-        ``pending`` holds the incomplete histories with a decision pending,
-        and ``children[i]`` the successors of ``pending[i]`` in action order.
-        One walk with an explicit stack; the children of a pending history
+        A key is the history's actions joined by commas, made once, when
+        the walk makes the history. ``pending`` holds, for each incomplete
+        history with a decision pending, its key, the pending point and
+        its children's keys in action order. One walk with an explicit
+        stack of (actions, key) pairs; the children of a pending history
         go on the stack in reverse action order so that they come off it
         in action order. The walk stops early once it has found more than
         ``bound`` complete histories.
         """
         n = len(self.order)
-        complete: list[History] = []
-        incomplete: list[History] = []
-        children: list[list[History]] = []
-        stack = [History(())]
+        complete: list[str] = []
+        pending: list[tuple[str, DecisionPoint, list[str]]] = []
+        stack: list[tuple[tuple[str, ...], str]] = [((), "")]
         while stack and len(complete) <= self.bound:
-            history = stack.pop()
+            history, key = stack.pop()
             if len(history) == n:
-                complete.append(history)
+                complete.append(key)
                 continue
-            incomplete.append(history)
-            below = [self.successor(history, action) for action in self.order[len(history)].actions]
-            children.append(below)
-            stack.extend(reversed(below))
-        return complete, incomplete, children
+            point = self.order[len(history)]
+            below = [self.successor(history, action) for action in point.actions]
+            keys = [",".join(child) for child in below]
+            pending.append((key, point, keys))
+            stack.extend(zip(reversed(below), reversed(keys)))
+        return complete, pending
 
 
 def _triangle_issues(setup: SpacetimeSetup, triangle: _Triangle) -> list[ValidationIssue]:
@@ -396,10 +378,10 @@ def _triangle_issues(setup: SpacetimeSetup, triangle: _Triangle) -> list[Validat
     return errors
 
 
-def _utility_issues(setup: SpacetimeSetup, triangle: _Triangle) -> tuple[list[ValidationIssue], bool]:
+def _utility_issues(setup: SpacetimeSetup, triangle: _Triangle) -> list[ValidationIssue]:
     errors: list[ValidationIssue] = []
     complete = triangle.histories[0]
-    keys = {history.key() for history in complete}
+    keys = set(complete)
     if len(complete) > triangle.bound:
         # The walk stopped early, so a key it has not found may still be valid.
         errors.append(
@@ -428,15 +410,12 @@ def _utility_issues(setup: SpacetimeSetup, triangle: _Triangle) -> tuple[list[Va
                 errors.append(
                     ValidationIssue("UNKNOWN_AGENT", f"payoff for unknown agent {agent!r} at {key!r}", (agent, key))
                 )
-    entries = [setup.utilities.get(key, {}) for key in keys]
-    has_ties = any(_repeats(entry[agent] for entry in entries if agent in entry) for agent in setup.agents)
-    return errors, has_ties
+    return errors
 
 
 def _check(setup: SpacetimeSetup) -> tuple[SetupReport, _Triangle | None]:
     """Full validation, and the triangle it derived when the setup is valid."""
     errors: list[ValidationIssue] = []
-    warnings: list[ValidationIssue] = []
     if setup.dimension < 1:
         errors.append(ValidationIssue("BAD_DIMENSION", f"dimension must be >= 1, got {setup.dimension}"))
     if len(set(setup.agents)) != len(setup.agents):
@@ -483,16 +462,15 @@ def _check(setup: SpacetimeSetup) -> tuple[SetupReport, _Triangle | None]:
                     )
                 )
     if errors:
-        return SetupReport(tuple(errors), tuple(warnings)), None
+        return SetupReport(tuple(errors)), None
 
     triangle = _Triangle(setup)
     errors.extend(_triangle_issues(setup, triangle))
     if errors:
-        return SetupReport(tuple(errors), tuple(warnings)), None
+        return SetupReport(tuple(errors)), None
 
-    utility_errors, has_ties = _utility_issues(setup, triangle)
-    errors.extend(utility_errors)
-    report = SetupReport(tuple(errors), tuple(warnings), has_ties)
+    errors.extend(_utility_issues(setup, triangle))
+    report = SetupReport(tuple(errors))
     return report, (triangle if report.ok else None)
 
 
@@ -523,31 +501,29 @@ def build_game(setup: SpacetimeSetup) -> Game:
     """Construct the extensive-form game induced by the setup.
 
     Choice nodes are the incomplete histories with a pending decision,
-    outcomes the complete histories, both identified by their serialized
-    keys; the cell of a node is the pending decision point. The root is
-    the empty history, and the result is canonical by construction since
-    all nodes of a cell have equal length. The setup is validated once,
-    and an invalid one raises :class:`SetupError`. The edges are the
-    children that the validation's history walk found.
+    outcomes the complete histories, both identified by their keys; the
+    cell of a node is the pending decision point. The root is the empty
+    history, and the result is canonical by construction since all nodes
+    of a cell have equal length. The setup is validated once, and an
+    invalid one raises :class:`SetupError`. The nodes and edges are the
+    keys that the validation's history walk made.
     """
     report, triangle = _check(setup)
     if triangle is None:
         raise SetupError(report)
 
-    complete, incomplete, children = triangle.histories
+    complete, pending = triangle.histories
     action_map: dict[str, tuple[str, ...]] = {}
     player_map: dict[str, str] = {}
     successor_map: dict[tuple[str, str], str] = {}
     cells: dict[str, list[str]] = {}
-    for history, below in zip(incomplete, children):
-        pending = triangle.order[len(history)]
-        node = history.key()
-        action_map[node] = pending.actions
-        player_map[node] = pending.agent
-        cells.setdefault(pending.id, []).append(node)
-        for action, child in zip(pending.actions, below):
-            successor_map[(node, action)] = child.key()
-    outcomes = tuple(history.key() for history in complete)
+    for node, point, below in pending:
+        action_map[node] = point.actions
+        player_map[node] = point.agent
+        cells.setdefault(point.id, []).append(node)
+        for action, child in zip(point.actions, below):
+            successor_map[(node, action)] = child
+    outcomes = tuple(complete)
     return Game(
         players=setup.agents,
         actions=setup.actions,

@@ -379,11 +379,11 @@ def random_setup(
         complete = _Triangle(setup).histories[0]
         if not complete or len(complete) > max_outcomes:
             continue
-        utilities: dict[str, dict[str, Fraction]] = {h.key(): {} for h in complete}
+        utilities: dict[str, dict[str, Fraction]] = {key: {} for key in complete}
         for agent in agents:
             values = _payoff_values(sub, len(complete), no_ties)
-            for history, value in zip(complete, values):
-                utilities[history.key()][agent] = Fraction(value)
+            for key, value in zip(complete, values):
+                utilities[key][agent] = Fraction(value)
         return SpacetimeSetup(
             dimension=2,
             agents=agents,
@@ -587,7 +587,7 @@ def timelike_chain_setup(n: int, seed: int) -> SpacetimeSetup:
     )
 
 
-# -- pairwise references for the spacetime builder ----------------------------
+# -- references for the spacetime builder -------------------------------------
 
 
 def pairwise_causal_dag(setup: SpacetimeSetup) -> dict[str, frozenset[str]]:
@@ -682,3 +682,78 @@ def pairwise_triangle_issues(setup: SpacetimeSetup) -> list[ValidationIssue]:
                     )
                 )
     return errors
+
+
+@dataclass(frozen=True)
+class History:
+    """A history as an object: actions over a prefix of the total order, None where no decision happens."""
+
+    actions: tuple[str | None, ...]
+
+    def key(self) -> str:
+        return ",".join("_" if a is None else a for a in self.actions)
+
+    def __len__(self) -> int:
+        return len(self.actions)
+
+
+def history_walk_game(setup: SpacetimeSetup) -> Game:
+    """`build_game` of a valid setup from `History` objects, each key joined when read.
+
+    The walk keeps the histories as objects and their children in lists,
+    and the game's node, edge and outcome ids are joined from them after
+    the walk. The rows and the forced skips are as in `_Triangle`.
+    """
+    order = total_order(setup)
+    ids = [point.id for point in order]
+    rows = [tuple(map(setup.contingency.get(pid, {}).get, ids[:k])) for k, pid in enumerate(ids)]
+    last = [max((m for m, a in enumerate(row) if a is not None), default=-1) for row in rows]
+
+    def successor(history: History, action: str) -> History:
+        extended = history.actions + (action,)
+        start = k = len(extended)
+        while k < len(order) and (
+            last[k] >= start or not all(a is None or a == b for a, b in zip(rows[k], extended))
+        ):
+            k += 1
+        return History(extended + (None,) * (k - start))
+
+    complete: list[History] = []
+    incomplete: list[History] = []
+    children: list[list[History]] = []
+    stack = [History(())]
+    while stack:
+        history = stack.pop()
+        if len(history) == len(order):
+            complete.append(history)
+            continue
+        incomplete.append(history)
+        below = [successor(history, action) for action in order[len(history)].actions]
+        children.append(below)
+        stack.extend(reversed(below))
+
+    action_map: dict[str, tuple[str, ...]] = {}
+    player_map: dict[str, str] = {}
+    successor_map: dict[tuple[str, str], str] = {}
+    cells: dict[str, list[str]] = {}
+    for history, below in zip(incomplete, children):
+        pending = order[len(history)]
+        node = history.key()
+        action_map[node] = pending.actions
+        player_map[node] = pending.agent
+        cells.setdefault(pending.id, []).append(node)
+        for action, child in zip(pending.actions, below):
+            successor_map[(node, action)] = child.key()
+    outcomes = tuple(history.key() for history in complete)
+    return Game(
+        players=setup.agents,
+        actions=setup.actions,
+        choice_nodes=tuple(action_map),
+        outcomes=outcomes,
+        action_map=action_map,
+        player_map=player_map,
+        successor_map=successor_map,
+        utility_map={(agent, key): setup.utilities[key][agent] for key in outcomes for agent in setup.agents},
+        infosets={pid: tuple(nodes) for pid, nodes in cells.items()},
+        root="",
+    )

@@ -15,7 +15,6 @@ from ptesolver import (
     build_game,
     canonicalize,
     embed_normal_form,
-    game_has_ties,
     is_canonical,
     naive_solve,
     normal_form_maximin,
@@ -23,6 +22,7 @@ from ptesolver import (
     parse_game,
     search_empty_pte,
     solve,
+    validate_game,
 )
 
 from conftest import (
@@ -180,7 +180,7 @@ def test_criterion_7_nonexistence_witness():
         witness is not None
         and solve(witness).status == EMPTY
         and naive_solve(witness).status == EMPTY
-        and not game_has_ties(witness)
+        and not validate_game(witness).has_ties
         and witness == committed
         and elapsed < 300.0
     )

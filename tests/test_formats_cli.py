@@ -225,6 +225,21 @@ class TestCli:
         assert run(["solve", "--quiet", str(path)]) == 3
         assert json.loads(capsys.readouterr().out)["status"] == "multiple_with_ties"
 
+    @pytest.mark.parametrize("argv", [["solve"], ["canonicalize"], ["export-dot"]])
+    def test_commands_but_validate_check_structure_only(self, argv, monkeypatch, capsys):
+        assert run([*argv, PD_PATH]) == 0
+        expected = capsys.readouterr()
+
+        def refuse(game):
+            raise AssertionError("perfect recall computed")
+
+        monkeypatch.setattr("ptesolver.game.has_perfect_recall", refuse)
+        with pytest.raises(AssertionError, match="perfect recall computed"):
+            run(["validate", PD_PATH])
+        capsys.readouterr()
+        assert run([*argv, PD_PATH]) == 0
+        assert capsys.readouterr() == expected
+
     def test_canonicalize_round_trips(self, capsys):
         assert run(["canonicalize", PD_PATH]) == 0
         out = capsys.readouterr().out

@@ -11,7 +11,6 @@ from ptesolver import (
     build_game,
     canonicalize,
     embed_normal_form,
-    game_has_ties,
     has_perfect_recall,
     is_canonical,
     naive_solve,
@@ -465,12 +464,12 @@ class TestTreeIndex:
         validate_game(pd_game)
         monkeypatch.setattr(game_module, "_Tree", None)  # a second index would fail
         assert solve(pd_game).fixpoint == frozenset({"C,c"})
-        assert game_has_ties(pd_game) is False and is_canonical(pd_game) and has_perfect_recall(pd_game)
+        assert validate_game(pd_game).has_ties is False and is_canonical(pd_game) and has_perfect_recall(pd_game)
 
     def test_a_replaced_game_has_its_own_index(self, pd_game):
-        assert not game_has_ties(pd_game) and is_canonical(pd_game)
+        assert not validate_game(pd_game).has_ties and is_canonical(pd_game)
         tied = replace(pd_game, utility_map={**pd_game.utility_map, ("Row", "C,c"): Fraction(5)})
-        assert game_has_ties(tied) and not game_has_ties(pd_game)
+        assert validate_game(tied).has_ties and not validate_game(pd_game).has_ties
         for seed in range(40):
             game = random_tree_game(seed)
             assert is_canonical(game)

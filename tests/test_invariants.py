@@ -57,10 +57,10 @@ def test_every_export_is_documented():
 # The package's exports, pinned: adding or dropping one is an API change this list must follow.
 EXPORTS = """
     format_exact parse_exact
-    Game ValidationIssue ValidationReport canonicalize embed_normal_form game_has_ties has_perfect_recall
+    Game ValidationIssue ValidationReport canonicalize embed_normal_form has_perfect_recall
     is_canonical validate_game
     EMPTY MULTIPLE_WITH_TIES UNIQUE NotCanonicalError SolveResult SolverState solve
-    COLOCATED SPACELIKE TIMELIKE DecisionPoint History Separation SetupError SetupReport SpacetimeSetup
+    COLOCATED SPACELIKE TIMELIKE DecisionPoint Separation SetupError SetupReport SpacetimeSetup
     build_game causal_dag separation spacelike_agent_check total_order validate_setup
     naive_solve normal_form_maximin pareto_frontier search_empty_pte
     ParseError export_dot game_to_jsonable parse_game parse_setup serialize_game serialize_setup
@@ -69,7 +69,7 @@ EXPORTS = """
 
 
 def test_exports_resolve_on_first_use():
-    assert len(set(EXPORTS)) == len(EXPORTS) == 46
+    assert len(set(EXPORTS)) == len(EXPORTS) == 44
     assert sorted(ptesolver.__all__) == sorted(EXPORTS)
     namespace: dict = {}
     exec("from ptesolver import *", namespace)

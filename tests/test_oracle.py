@@ -16,7 +16,6 @@ from ptesolver import (
     build_game,
     canonicalize,
     embed_normal_form,
-    game_has_ties,
     naive_solve,
     normal_form_maximin,
     pareto_frontier,
@@ -203,7 +202,7 @@ class TestRandomGame:
     def test_no_ties_is_honored(self):
         for seed in range(60):
             game = random_game(GeneratorParams(seed=seed, no_ties=True))
-            assert not game_has_ties(game)
+            assert not validate_game(game).has_ties
 
     def test_outcome_budget_respected(self):
         for seed in range(60):
@@ -221,7 +220,7 @@ class TestSearchEmptyPte:
     def test_witness_exists_in_two_by_two(self):
         witness = search_empty_pte(2, 2)
         assert witness is not None
-        assert not game_has_ties(witness)
+        assert not validate_game(witness).has_ties
         assert solve(witness).status == EMPTY
         assert naive_solve(witness).status == EMPTY
 

@@ -29,12 +29,12 @@ from ptesolver import (
     canonicalize,
     causal_dag,
     embed_normal_form,
-    game_has_ties,
     has_perfect_recall,
     pareto_frontier,
     separation,
     solve,
     total_order,
+    validate_game,
     validate_setup,
 )
 from ptesolver.spacetime import _Triangle
@@ -140,7 +140,7 @@ def timelike_setups(draw) -> SpacetimeSetup:
     setup = SpacetimeSetup(dimension, agents, probe.actions, probe.points, contingency, {})
     complete = _Triangle(setup).histories[0]
     ranks = {agent: draw(st.permutations(range(1, len(complete) + 1))) for agent in agents}
-    utilities = {h.key(): {agent: Fraction(ranks[agent][i]) for agent in agents} for i, h in enumerate(complete)}
+    utilities = {key: {agent: Fraction(ranks[agent][i]) for agent in agents} for i, key in enumerate(complete)}
     return SpacetimeSetup(dimension, agents, probe.actions, probe.points, contingency, utilities)
 
 
@@ -177,7 +177,7 @@ def test_tie_free_equilibria_are_at_most_unique_and_pareto_optimal(make):
     unique = 0
     for seed in range(1, 5):
         game = make(seed)
-        assert not game_has_ties(game)
+        assert not validate_game(game).has_ties
         fixpoint = solve(game).fixpoint
         assert len(fixpoint) <= 1, seed
         assert fixpoint <= pareto_frontier(game), seed

@@ -35,7 +35,6 @@ from ptesolver import (
     build_game,
     canonicalize,
     embed_normal_form,
-    game_has_ties,
     has_perfect_recall,
     is_canonical,
     naive_solve,
@@ -47,7 +46,6 @@ from ptesolver import (
     total_order,
     trace_to_jsonable,
     validate_game,
-    validate_setup,
 )
 from ptesolver.exact import format_exact
 from ptesolver.formats import _indented_json, _write_trace
@@ -262,7 +260,7 @@ def test_tie_check_equals_the_fraction_set_check(game, data):
             else:
                 outcome["payoffs"][player] = data.draw(payoff_spellings)
     parsed = parse_game(json.dumps(doc))
-    assert game_has_ties(parsed) == validate_game(parsed).has_ties == fraction_set_ties(parsed)
+    assert validate_game(parsed).has_ties == fraction_set_ties(parsed)
 
 
 def fraction_set_setup_ties(setup: SpacetimeSetup) -> bool:
@@ -280,17 +278,15 @@ def fraction_set_setup_ties(setup: SpacetimeSetup) -> bool:
 @PROPERTY_SETTINGS
 @given(st.integers(0, 500), st.data())
 def test_setup_tie_check_equals_the_fraction_set_check(seed, data):
-    # Every key of a generated setup is a complete history, so the set
-    # check over its entries is the check over the histories.
+    # Every key of a generated setup is a complete history, and respelling
+    # a payoff keeps the setup valid, so the set check over its entries is
+    # the check over the built game's outcomes.
     doc = json.loads(serialize_setup(random_setup(seed)))
     for payoffs in doc["utilities"].values():
-        for agent in list(payoffs):
-            if data.draw(st.integers(0, 9)) == 0:
-                del payoffs[agent]
-            else:
-                payoffs[agent] = data.draw(payoff_spellings)
+        for agent in payoffs:
+            payoffs[agent] = data.draw(payoff_spellings)
     parsed = parse_setup(json.dumps(doc))
-    assert validate_setup(parsed).has_ties == fraction_set_setup_ties(parsed)
+    assert validate_game(build_game(parsed)).has_ties == fraction_set_setup_ties(parsed)
 
 
 json_keys = st.text(st.characters(codec="utf-8"), max_size=4)

@@ -22,7 +22,6 @@ from ptesolver import (
     SPACELIKE,
     TIMELIKE,
     DecisionPoint,
-    History,
     SetupError,
     SpacetimeSetup,
     build_game,
@@ -31,6 +30,7 @@ from ptesolver import (
     has_perfect_recall,
     is_canonical,
     separation,
+    serialize_game,
     serialize_setup,
     spacelike_agent_check,
     total_order,
@@ -40,7 +40,13 @@ from ptesolver import (
 from ptesolver import spacetime as spacetime_module
 from ptesolver.spacetime import HISTORY_SLACK, _Triangle
 
-from conftest import pairwise_causal_dag, pairwise_triangle_issues, random_setup, timelike_chain_setup
+from conftest import (
+    history_walk_game,
+    pairwise_causal_dag,
+    pairwise_triangle_issues,
+    random_setup,
+    timelike_chain_setup,
+)
 
 # The six-point example: histories the build must reproduce exactly.
 HEXA_COMPLETE = {
@@ -94,10 +100,19 @@ def two_point_setup(**overrides) -> SpacetimeSetup:
     return SpacetimeSetup(**fields)
 
 
-def built_histories(setup: SpacetimeSetup) -> tuple[set[History], set[History]]:
-    """(complete, incomplete) histories of the built game, read off its node ids."""
+def split_key(key: str) -> tuple[str, ...]:
+    """A history key's actions, ``_`` where no decision happens."""
+    return tuple(key.split(",")) if key else ()
+
+
+def built_histories(setup: SpacetimeSetup) -> tuple[set[tuple[str, ...]], set[tuple[str, ...]]]:
+    """(complete, incomplete) histories of the built game, split from its node ids."""
     game = build_game(setup)
-    return {History.from_key(z) for z in game.outcomes}, {History.from_key(n) for n in game.choice_nodes}
+    return set(map(split_key, game.outcomes)), set(map(split_key, game.choice_nodes))
+
+
+def joined(histories: set[tuple[str, ...]]) -> set[str]:
+    return {",".join(history) for history in histories}
 
 
 def contingency_rows(setup: SpacetimeSetup) -> list[tuple[str | None, ...]]:
@@ -391,10 +406,13 @@ class TestMatches:
 
 
 def naive_histories(setup: SpacetimeSetup):
-    """Filter-based re-derivation of the consistent histories."""
+    """Filter-based re-derivation of the consistent histories, ``_`` where no decision happens."""
     order = total_order(setup)
     rows = contingency_rows(setup)
     n = len(order)
+
+    def dummied(assignment) -> tuple[str, ...]:
+        return tuple("_" if a is None else a for a in assignment)
 
     def prefix_ok(assignment) -> bool:
         for m, value in enumerate(assignment):
@@ -407,7 +425,7 @@ def naive_histories(setup: SpacetimeSetup):
     complete = set()
     for assignment in product(*[tuple(p.actions) + (None,) for p in order]):
         if prefix_ok(assignment):
-            complete.add(History(assignment))
+            complete.add(dummied(assignment))
     incomplete = set()
     for m in range(n):
         pools = [tuple(p.actions) + (None,) for p in order[:m]]
@@ -416,18 +434,18 @@ def naive_histories(setup: SpacetimeSetup):
                 continue
             row = rows[m]
             if all(a is None or a == assignment[j] for j, a in enumerate(row)):
-                incomplete.add(History(assignment))
+                incomplete.add(dummied(assignment))
     return complete, incomplete
 
 
 class TestHistories:
     def test_hexa_complete_histories(self, hexa_setup):
         complete, _ = built_histories(hexa_setup)
-        assert {h.key() for h in complete} == HEXA_COMPLETE
+        assert joined(complete) == HEXA_COMPLETE
 
     def test_hexa_incomplete_histories(self, hexa_setup):
         _, incomplete = built_histories(hexa_setup)
-        assert {h.key() for h in incomplete} == HEXA_INCOMPLETE
+        assert joined(incomplete) == HEXA_INCOMPLETE
 
     def test_single_point(self):
         setup = two_point_setup(
@@ -436,17 +454,17 @@ class TestHistories:
             utilities={"x": {"A": 1}, "y": {"A": 2}},
         )
         complete, incomplete = built_histories(setup)
-        assert {h.key() for h in complete} == {"x", "y"}
-        assert {h.key() for h in incomplete} == {""}
+        assert joined(complete) == {"x", "y"}
+        assert joined(incomplete) == {""}
 
     def test_prefixes_of_consistent_histories_are_consistent(self, hexa_setup):
         complete, incomplete = built_histories(hexa_setup)
         rows = contingency_rows(hexa_setup)
         for history in complete | incomplete:
-            for m, value in enumerate(history.actions):
-                prefix = history.actions[:m]
+            for m, value in enumerate(history):
+                prefix = history[:m]
                 matched = all(a is None or a == prefix[j] for j, a in enumerate(rows[m]))
-                assert matched == (value is not None)
+                assert matched == (value != "_")
 
     def test_matches_naive_enumeration(self, hexa_setup):
         assert naive_histories(hexa_setup) == built_histories(hexa_setup)
@@ -454,10 +472,14 @@ class TestHistories:
             setup = random_setup(seed, max_points=6, max_outcomes=64)
             assert naive_histories(setup) == built_histories(setup)
 
-    def test_history_key_round_trip(self, hexa_setup):
-        complete, incomplete = built_histories(hexa_setup)
-        for history in complete | incomplete:
-            assert History.from_key(history.key()) == history
+    def test_equals_the_history_object_walk(self):
+        setups = (
+            [random_setup(seed) for seed in range(300)]
+            + [random_setup(seed, max_points=7) for seed in range(300)]
+            + [timelike_chain_setup(160, 1)]
+        )
+        for setup in setups:
+            assert serialize_game(build_game(setup)) == serialize_game(history_walk_game(setup))
 
 
 class TestSuccessorHat:
@@ -489,11 +511,10 @@ class TestSuccessorHat:
         setups = [hexa_setup, timelike_chain_setup(160, 1)] + [random_setup(seed) for seed in range(60)]
         for setup in setups:
             triangle = _Triangle(setup)
-            _, incomplete, _ = triangle.histories
             per_edge = [
-                ((history.key(), action), triangle.successor(history, action).key())
-                for history in incomplete
-                for action in triangle.order[len(history)].actions
+                ((key, action), ",".join(triangle.successor(split_key(key), action)))
+                for key, _, _ in triangle.histories[1]
+                for action in triangle.order[len(split_key(key))].actions
             ]
             assert list(build_game(setup).successor_map.items()) == per_edge
 
@@ -781,8 +802,8 @@ class TestSpacelikeAgentCheck:
         assert has_perfect_recall(game)
         # Same triangle, same order, so the histories do not change.
         complete, incomplete = built_histories(chain_setup)
-        assert {h.key() for h in complete} == HEXA_COMPLETE
-        assert {h.key() for h in incomplete} == HEXA_INCOMPLETE
+        assert joined(complete) == HEXA_COMPLETE
+        assert joined(incomplete) == HEXA_INCOMPLETE
 
     def test_one_point_per_agent_all_spacelike(self):
         assert spacelike_agent_check(two_point_setup())
