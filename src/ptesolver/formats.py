@@ -333,32 +333,6 @@ def parse_setup(text: str) -> SpacetimeSetup:
     )
 
 
-def setup_to_jsonable(setup: SpacetimeSetup) -> dict:
-    return {
-        "dimension": setup.dimension,
-        "agents": list(setup.agents),
-        "actions": list(setup.actions),
-        "points": [
-            {
-                "id": point.id,
-                "agent": point.agent,
-                "coords": [str(format_exact(c)) for c in point.coords],
-                "actions": list(point.actions),
-            }
-            for point in setup.points
-        ],
-        "contingency": {pid: dict(row) for pid, row in setup.contingency.items()},
-        "utilities": {
-            key: {agent: format_exact(value) for agent, value in row.items()}
-            for key, row in setup.utilities.items()
-        },
-    }
-
-
-def serialize_setup(setup: SpacetimeSetup) -> str:
-    return _indented_json(setup_to_jsonable(setup)) + "\n"
-
-
 def _cut(items: list, cuts: list[int]) -> list:
     """``items`` without the entries at the ascending indices ``cuts``."""
     kept = items[: cuts[0]]

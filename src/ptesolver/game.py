@@ -79,7 +79,6 @@ class ValidationIssue:
 @dataclass(frozen=True)
 class ValidationReport:
     errors: tuple[ValidationIssue, ...]
-    warnings: tuple[ValidationIssue, ...]
     is_canonical: bool
     has_perfect_recall: bool
     has_ties: bool
@@ -168,6 +167,10 @@ def _structural_issues(game: Game) -> list[ValidationIssue]:
     elements = node_set | outcome_set
     player_set = set(game.players)
     action_set = set(game.actions)
+    if len(player_set) != len(game.players):
+        err("DUPLICATE_PLAYER", "duplicate player identifier")
+    if len(action_set) != len(game.actions):
+        err("DUPLICATE_ACTION", "duplicate action identifier")
 
     if game.root not in elements:
         err("UNKNOWN_ROOT", f"root {game.root!r} is not a declared node or outcome", [game.root])
@@ -175,6 +178,8 @@ def _structural_issues(game: Game) -> list[ValidationIssue]:
     for node in game.choice_nodes:
         if node not in game.action_map:
             err("MISSING_ACTIONS", f"node {node!r} has no action set", [node])
+        elif not game.action_map[node]:
+            err("NO_ACTIONS", f"choice node {node!r} offers no actions", [node])
         if node not in game.player_map:
             err("MISSING_PLAYER", f"node {node!r} has no player", [node])
         elif game.player_map[node] not in player_set:
@@ -395,16 +400,9 @@ def validate_game(game: Game) -> ValidationReport:
     walk from the root serves the reachability check and both flags.
     """
     errors = _structural_issues(game)
-    warnings: list[ValidationIssue] = []
-    for node in game.choice_nodes:
-        if node in game.action_map and not game.action_map[node]:
-            warnings.append(
-                ValidationIssue("NO_ACTIONS", f"choice node {node!r} offers no actions", (node,))
-            )
     structurally_ok = not errors
     return ValidationReport(
         errors=tuple(errors),
-        warnings=tuple(warnings),
         is_canonical=structurally_ok and game._tree.violation is None,
         has_perfect_recall=structurally_ok and has_perfect_recall(game),
         has_ties=game._tree.has_ties,

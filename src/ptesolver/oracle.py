@@ -1,21 +1,23 @@
-"""Brute-force cross-checks for the solver.
+"""Brute-force cross-checks for the solver, as `pte oracle-compare` and `pte search-counterexample` run them.
 
-Everything here recomputes results from first principles, sharing only
-the data types with the solver: descendant sets come from explicit
-root-to-leaf path enumeration, reach from path intersection, preemption
-from a plain triple loop. Equivalence tests against the solver would be
-meaningless otherwise.
+:func:`naive_solve` recomputes the elimination from first principles,
+sharing only the data types with the solver: descendant sets come from
+explicit root-to-leaf path enumeration, reach from path intersection,
+preemption from a plain triple loop. Equivalence tests against the
+solver would be meaningless otherwise. :func:`search_empty_pte` looks
+for a tie-free matrix whose fixpoint is empty and confirms it with both.
+The tests' own references (the Pareto frontier and the matrix maximin)
+live with the tests, in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 # Unused here: bench/worker.py imports only cli and oracle before Recorder.install wraps all five layers.
 from . import spacetime
-from .exact import parse_exact
 from .game import Game, embed_normal_form
 from .solver import (
     EMPTY,
@@ -27,54 +29,10 @@ from .solver import (
     solve,
 )
 
-Matrix = Mapping[tuple[str, ...], Sequence[object]]
-
 # The most rows or columns search_empty_pte accepts. Its space grows as
 # (r*c)!**2, so even 3 x 3 cannot be exhausted; the bound only keeps the
 # list of sizes small before the 2 x 2 witness is found.
 SEARCH_LIMIT = 8
-
-
-def pareto_frontier(game: Game) -> frozenset[str]:
-    """Outcomes no other outcome improves for everyone (strictly for someone)."""
-    frontier = []
-    for z in game.outcomes:
-        dominated = False
-        for other in game.outcomes:
-            if other == z:
-                continue
-            if all(game.utility(p, other) >= game.utility(p, z) for p in game.players) and any(
-                game.utility(p, other) > game.utility(p, z) for p in game.players
-            ):
-                dominated = True
-                break
-        if not dominated:
-            frontier.append(z)
-    return frozenset(frontier)
-
-
-def normal_form_maximin(
-    matrix: Matrix,
-    players: Sequence[str],
-    action_lists: Sequence[Sequence[str]],
-    player: str,
-) -> Fraction:
-    """Matrix maximin by direct scan over own actions and opponent profiles."""
-    me = list(players).index(player)
-    best = None
-    for own in action_lists[me]:
-        worst = None
-        for profile in product(*action_lists):
-            if profile[me] != own:
-                continue
-            value = parse_exact(matrix[profile][me], "payoff")
-            if worst is None or value < worst:
-                worst = value
-        if worst is not None and (best is None or worst > best):
-            best = worst
-    if best is None:
-        raise ValueError("empty matrix")
-    return best
 
 
 def _paths(game: Game) -> dict[str, tuple[tuple[str, str], ...]]:

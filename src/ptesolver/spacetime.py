@@ -113,43 +113,41 @@ class SetupError(ValueError):
         self.report = report
 
 
-def _interval_squared(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
-    """Squared spacetime interval, positive for spacelike pairs."""
-    space = sum((a - b) ** 2 for a, b in zip(p[:-1], q[:-1]))
-    return space - (p[-1] - q[-1]) ** 2
-
-
 def separation(p: Sequence[Fraction], q: Sequence[Fraction], dimension: int) -> Separation:
+    """Classify two events, the two-point case of the integer interval test in :func:`causal_dag`."""
     if len(p) != dimension or len(q) != dimension:
         raise ValueError(f"coordinates must have length {dimension}")
     if tuple(p) == tuple(q):
         return Separation(COLOCATED)
-    s2 = _interval_squared(p, q)
-    if s2 > 0:
+    gap = _time_gap(*_scaled((p, q), dimension))
+    if not gap:
         return Separation(SPACELIKE)
-    # s2 == 0 with p != q is lightlike: a light-speed signal connects the
-    # events, so it is ordered like a timelike pair.
-    return Separation(TIMELIKE, earlier=0 if p[-1] < q[-1] else 1)
+    # A lightlike pair, on the cone, has a nonzero gap too: a light-speed
+    # signal connects the events, so it is ordered like a timelike pair.
+    return Separation(TIMELIKE, earlier=0 if gap > 0 else 1)
 
 
 # A point as integers: (space numerators, their squared norm, time numerator, denominator).
 _Scaled = tuple[tuple[int, ...], int, int, int]
 
 
-def _scaled(points: Sequence[DecisionPoint], dimension: int) -> list[_Scaled]:
-    """Each point as integers over the lcm of its own denominators.
+def _scaled(points: Sequence[Sequence[Fraction]], dimension: int) -> list[_Scaled]:
+    """Each point's coordinates as integers over the lcm of their own denominators.
 
     Scaling each point on its own, not all of them by one common
     denominator, keeps its integers about as long as its own coordinates.
-    Raises like :func:`separation` once there is a pair to compare and a
-    point has the wrong number of coordinates.
+    This is the one interval test of the package: :func:`separation` is
+    its two-point case, and :func:`causal_dag` and
+    :func:`spacelike_agent_check` scale each point once and compare every
+    pair with :func:`_time_gap`. Raises like :func:`separation` once there
+    is a pair to compare and a point has the wrong number of coordinates.
     """
-    if len(points) > 1 and any(len(point.coords) != dimension for point in points):
+    if len(points) > 1 and any(len(coords) != dimension for coords in points):
         raise ValueError(f"coordinates must have length {dimension}")
     scaled = []
-    for point in points:
-        den = lcm(*(c.denominator for c in point.coords))
-        space = [c.numerator * (den // c.denominator) for c in point.coords]
+    for coords in points:
+        den = lcm(*(c.denominator for c in coords))
+        space = [c.numerator * (den // c.denominator) for c in coords]
         # With no coordinates at all (dimension 0) every pair is colocated.
         time = space.pop() if space else 0
         scaled.append((tuple(space), sum(x * x for x in space), time, den))
@@ -174,7 +172,7 @@ def _time_gap(p: _Scaled, q: _Scaled) -> int:
 def causal_dag(setup: SpacetimeSetup) -> dict[str, frozenset[str]]:
     """The timelike-precedence relation: id -> ids it strictly precedes."""
     edges: dict[str, set[str]] = {point.id: set() for point in setup.points}
-    scaled = _scaled(setup.points, setup.dimension)
+    scaled = _scaled([point.coords for point in setup.points], setup.dimension)
     for i, (p, p_int) in enumerate(zip(setup.points, scaled)):
         for q, q_int in zip(setup.points[i + 1 :], scaled[i + 1 :]):
             gap = _time_gap(p_int, q_int)
@@ -489,7 +487,7 @@ def spacelike_agent_check(setup: SpacetimeSetup) -> bool:
     for point in setup.points:
         by_agent.setdefault(point.agent, []).append(point)
     for points in by_agent.values():
-        scaled = _scaled(points, setup.dimension)
+        scaled = _scaled([point.coords for point in points], setup.dimension)
         for i, p in enumerate(scaled):
             for q in scaled[i + 1 :]:
                 if not _time_gap(p, q):

@@ -5,11 +5,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import pytest
 
 from ptesolver import (
+    COLOCATED,
+    SPACELIKE,
     TIMELIKE,
     DecisionPoint,
     Game,
@@ -18,10 +20,12 @@ from ptesolver import (
     build_game,
     causal_dag,
     embed_normal_form,
+    format_exact,
+    parse_exact,
     parse_setup,
-    separation,
     total_order,
 )
+from ptesolver.formats import _indented_json
 from ptesolver.spacetime import _Triangle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -192,6 +196,79 @@ def all_profiles(game: Game):
             yield from rec(i + 1, acc)
 
     yield from rec(0, {})
+
+
+# -- references for the solver's results and the setup documents --------------
+
+Matrix = Mapping[tuple[str, ...], Sequence[object]]
+
+
+def pareto_frontier(game: Game) -> frozenset[str]:
+    """Outcomes no other outcome improves for everyone (strictly for someone)."""
+    frontier = []
+    for z in game.outcomes:
+        dominated = False
+        for other in game.outcomes:
+            if other == z:
+                continue
+            if all(game.utility(p, other) >= game.utility(p, z) for p in game.players) and any(
+                game.utility(p, other) > game.utility(p, z) for p in game.players
+            ):
+                dominated = True
+                break
+        if not dominated:
+            frontier.append(z)
+    return frozenset(frontier)
+
+
+def normal_form_maximin(
+    matrix: Matrix,
+    players: Sequence[str],
+    action_lists: Sequence[Sequence[str]],
+    player: str,
+) -> Fraction:
+    """Matrix maximin by direct scan over own actions and opponent profiles."""
+    me = list(players).index(player)
+    best = None
+    for own in action_lists[me]:
+        worst = None
+        for profile in product(*action_lists):
+            if profile[me] != own:
+                continue
+            value = parse_exact(matrix[profile][me], "payoff")
+            if worst is None or value < worst:
+                worst = value
+        if worst is not None and (best is None or worst > best):
+            best = worst
+    if best is None:
+        raise ValueError("empty matrix")
+    return best
+
+
+def setup_to_jsonable(setup: SpacetimeSetup) -> dict:
+    return {
+        "dimension": setup.dimension,
+        "agents": list(setup.agents),
+        "actions": list(setup.actions),
+        "points": [
+            {
+                "id": point.id,
+                "agent": point.agent,
+                "coords": [str(format_exact(c)) for c in point.coords],
+                "actions": list(point.actions),
+            }
+            for point in setup.points
+        ],
+        "contingency": {pid: dict(row) for pid, row in setup.contingency.items()},
+        "utilities": {
+            key: {agent: format_exact(value) for agent, value in row.items()}
+            for key, row in setup.utilities.items()
+        },
+    }
+
+
+def serialize_setup(setup: SpacetimeSetup) -> str:
+    return _indented_json(setup_to_jsonable(setup)) + "\n"
 
 
 # -- seeded random generators --------------------------------------------------
@@ -590,14 +667,25 @@ def timelike_chain_setup(n: int, seed: int) -> SpacetimeSetup:
 # -- references for the spacetime builder -------------------------------------
 
 
+def fraction_separation(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[str, int | None]:
+    """`separation`'s kind and earlier event, from the squared interval on Fractions."""
+    if tuple(p) == tuple(q):
+        return COLOCATED, None
+    space = sum((a - b) ** 2 for a, b in zip(p[:-1], q[:-1]))
+    if space - (p[-1] - q[-1]) ** 2 > 0:
+        return SPACELIKE, None
+    # On the cone the pair is lightlike and ordered like a timelike one.
+    return TIMELIKE, 0 if p[-1] < q[-1] else 1
+
+
 def pairwise_causal_dag(setup: SpacetimeSetup) -> dict[str, frozenset[str]]:
-    """`causal_dag` as one `separation` call on Fractions per pair."""
+    """`causal_dag` as one `fraction_separation` per pair."""
     edges: dict[str, set[str]] = {point.id: set() for point in setup.points}
     for i, p in enumerate(setup.points):
         for q in setup.points[i + 1 :]:
-            sep = separation(p.coords, q.coords, setup.dimension)
-            if sep.kind == TIMELIKE:
-                if sep.earlier == 0:
+            kind, earlier = fraction_separation(p.coords, q.coords)
+            if kind == TIMELIKE:
+                if earlier == 0:
                     edges[p.id].add(q.id)
                 else:
                     edges[q.id].add(p.id)

@@ -17,8 +17,6 @@ from ptesolver import (
     embed_normal_form,
     is_canonical,
     naive_solve,
-    normal_form_maximin,
-    pareto_frontier,
     parse_game,
     search_empty_pte,
     solve,
@@ -36,6 +34,8 @@ from conftest import (
     all_profiles,
     entangle,
     follow_profile,
+    normal_form_maximin,
+    pareto_frontier,
     random_game,
     random_matrix,
 )

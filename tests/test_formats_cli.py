@@ -22,19 +22,38 @@ from ptesolver import (
     parse_game,
     parse_setup,
     serialize_game,
-    serialize_setup,
     solve,
     trace_to_jsonable,
 )
 from ptesolver.cli import run
 from ptesolver.oracle import SEARCH_LIMIT
 
-from conftest import FIXTURES, GeneratorParams, binary_tree_game, random_game
+from conftest import FIXTURES, GeneratorParams, binary_tree_game, random_game, serialize_setup
 
 PD_PATH = str(FIXTURES / "prisoners_dilemma.json")
 WITNESS_PATH = str(FIXTURES / "empty_pte_witness.json")
 SETUP_PATH = str(FIXTURES / "spacetime_example.json")
 ROOT = FIXTURES.parent.parent
+
+# n0's L leads to n1, a choice node with no actions: the game never ends after L.
+DEAD_END = {
+    "players": ["P"],
+    "actions": ["L", "R"],
+    "root": "n0",
+    "nodes": [
+        {"id": "n0", "player": "P", "infoset": "i0", "moves": {"L": "n1", "R": "zR"}},
+        {"id": "n1", "player": "P", "infoset": "i1", "moves": {}},
+    ],
+    "outcomes": [{"id": "zR", "payoffs": {"P": 1}}],
+}
+# The whole game is one such node and has no outcome at all.
+LONE_DEAD_END = {
+    "players": ["P"],
+    "actions": [],
+    "root": "n1",
+    "nodes": [{"id": "n1", "player": "P", "infoset": "i1", "moves": {}}],
+    "outcomes": [],
+}
 
 
 class TestGameDocuments:
@@ -239,6 +258,41 @@ class TestCli:
         capsys.readouterr()
         assert run([*argv, PD_PATH]) == 0
         assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize("document", [DEAD_END, LONE_DEAD_END], ids=["dead-end", "lone-dead-end"])
+    @pytest.mark.parametrize("command", ["validate", "solve", "canonicalize", "export-dot", "oracle-compare"])
+    def test_a_node_with_no_actions_is_an_error(self, command, document, tmp_path, capsys):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(document))
+        assert run([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        expected = {"code": "NO_ACTIONS", "message": "choice node 'n1' offers no actions", "ids": ["n1"]}
+        if command == "validate":
+            report = json.loads(captured.out)
+            assert report["errors"] == [expected] and report["warnings"] == []
+        else:
+            assert captured.out == ""
+            assert captured.err == "error NO_ACTIONS: choice node 'n1' offers no actions\n"
+
+    def test_duplicate_players_and_actions_are_errors(self, tmp_path, capsys):
+        doc = json.loads(Path(PD_PATH).read_text())
+        doc["players"].append(doc["players"][0])
+        doc["actions"].append(doc["actions"][0])
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        assert run(["validate", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [(e["code"], e["message"]) for e in report["errors"]] == [
+            ("DUPLICATE_PLAYER", "duplicate player identifier"),
+            ("DUPLICATE_ACTION", "duplicate action identifier"),
+        ]
+        assert run(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error DUPLICATE_PLAYER: duplicate player identifier",
+            "error DUPLICATE_ACTION: duplicate action identifier",
+        ]
 
     def test_canonicalize_round_trips(self, capsys):
         assert run(["canonicalize", PD_PATH]) == 0

@@ -62,14 +62,13 @@ EXPORTS = """
     EMPTY MULTIPLE_WITH_TIES UNIQUE NotCanonicalError SolveResult SolverState solve
     COLOCATED SPACELIKE TIMELIKE DecisionPoint Separation SetupError SetupReport SpacetimeSetup
     build_game causal_dag separation spacelike_agent_check total_order validate_setup
-    naive_solve normal_form_maximin pareto_frontier search_empty_pte
-    ParseError export_dot game_to_jsonable parse_game parse_setup serialize_game serialize_setup
-    setup_to_jsonable trace_to_jsonable
+    naive_solve search_empty_pte
+    ParseError export_dot game_to_jsonable parse_game parse_setup serialize_game trace_to_jsonable
 """.split()
 
 
 def test_exports_resolve_on_first_use():
-    assert len(set(EXPORTS)) == len(EXPORTS) == 44
+    assert len(set(EXPORTS)) == len(EXPORTS) == 40
     assert sorted(ptesolver.__all__) == sorted(EXPORTS)
     namespace: dict = {}
     exec("from ptesolver import *", namespace)

@@ -17,8 +17,6 @@ from ptesolver import (
     canonicalize,
     embed_normal_form,
     naive_solve,
-    normal_form_maximin,
-    pareto_frontier,
     search_empty_pte,
     solve,
     validate_game,
@@ -32,6 +30,8 @@ from conftest import (
     SHAPES,
     GeneratorParams,
     binary_tree_game,
+    normal_form_maximin,
+    pareto_frontier,
     random_game,
     random_matrix,
     square_normal_form,

@@ -30,7 +30,6 @@ from ptesolver import (
     causal_dag,
     embed_normal_form,
     has_perfect_recall,
-    pareto_frontier,
     separation,
     solve,
     total_order,
@@ -41,6 +40,7 @@ from ptesolver.spacetime import _Triangle
 
 from conftest import (
     binary_tree_game,
+    pareto_frontier,
     random_matrix,
     root_paths,
     square_normal_form,

@@ -41,7 +41,6 @@ from ptesolver import (
     parse_game,
     parse_setup,
     serialize_game,
-    serialize_setup,
     solve,
     total_order,
     trace_to_jsonable,
@@ -51,7 +50,15 @@ from ptesolver.exact import format_exact
 from ptesolver.formats import _indented_json, _write_trace
 from ptesolver.solver import _exact_key
 
-from conftest import FIXTURES, all_profiles, binary_tree_game, follow_profile, random_setup, square_normal_form
+from conftest import (
+    FIXTURES,
+    all_profiles,
+    binary_tree_game,
+    follow_profile,
+    random_setup,
+    serialize_setup,
+    square_normal_form,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 

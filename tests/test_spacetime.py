@@ -31,7 +31,6 @@ from ptesolver import (
     is_canonical,
     separation,
     serialize_game,
-    serialize_setup,
     spacelike_agent_check,
     total_order,
     validate_game,
@@ -41,10 +40,12 @@ from ptesolver import spacetime as spacetime_module
 from ptesolver.spacetime import HISTORY_SLACK, _Triangle
 
 from conftest import (
+    fraction_separation,
     history_walk_game,
     pairwise_causal_dag,
     pairwise_triangle_issues,
     random_setup,
+    serialize_setup,
     timelike_chain_setup,
 )
 
@@ -235,7 +236,7 @@ def point_sets(draw) -> SpacetimeSetup:
 
 def pairwise_agent_check(setup: SpacetimeSetup) -> bool:
     return all(
-        separation(p.coords, q.coords, setup.dimension).kind == TIMELIKE
+        fraction_separation(p.coords, q.coords)[0] == TIMELIKE
         for i, p in enumerate(setup.points)
         for q in setup.points[i + 1 :]
         if p.agent == q.agent
@@ -243,11 +244,15 @@ def pairwise_agent_check(setup: SpacetimeSetup) -> bool:
 
 
 class TestIntegerIntervals:
-    """`causal_dag` and `spacelike_agent_check` compare integers; `separation` compares Fractions."""
+    """`separation`, `causal_dag` and `spacelike_agent_check` compare integers; the references, Fractions."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(point_sets())
     def test_equal_to_the_fraction_reference(self, setup):
+        for p in setup.points:
+            for q in setup.points:
+                sep = separation(p.coords, q.coords, setup.dimension)
+                assert (sep.kind, sep.earlier) == fraction_separation(p.coords, q.coords), (p, q)
         assert causal_dag(setup) == pairwise_causal_dag(setup)
         assert spacelike_agent_check(setup) == pairwise_agent_check(setup)
 
