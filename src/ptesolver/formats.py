@@ -163,58 +163,60 @@ def parse_game(text: str) -> Game:
     action_map: dict[str, tuple[str, ...]] = {}
     player_map: dict[str, str] = {}
     successor_map: dict[tuple[str, str], str] = {}
-    infoset_of: dict[str, str] = {}
+    infosets: dict[str, list[str]] = {}
     # Checks run in document order, so the first error found is the one
     # reported; an element's JSON path is spelled out only for an error.
+    # The decoder makes every string a str and every object a dict, so an
+    # exact type test is the isinstance test here.
     for i, node in enumerate(doc["nodes"]):
         if type(node) is not dict or node.keys() != NODE_KEYS:
             _require_object(node, f"$.nodes[{i}]", NODE_KEYS)
-        for key in ("id", "player", "infoset"):
-            if not isinstance(node[key], str):
-                _fail(f"$.nodes[{i}].{key}", "expected a string")
-        node_id = node["id"]
+        node_id, player, infoset, moves = node["id"], node["player"], node["infoset"], node["moves"]
+        if type(node_id) is not str or type(player) is not str or type(infoset) is not str:
+            for key in ("id", "player", "infoset"):
+                if not isinstance(node[key], str):
+                    _fail(f"$.nodes[{i}].{key}", "expected a string")
         if node_id in seen:
             _fail(f"$.nodes[{i}].id", f"DUPLICATE_ID: {node_id!r} already declared")
         seen.add(node_id)
-        moves = node["moves"]
-        if not isinstance(moves, dict):
+        if type(moves) is not dict:
             _fail(f"$.nodes[{i}].moves", "expected an object mapping actions to children")
         for action, child in moves.items():
-            if not isinstance(child, str):
+            if type(child) is not str:
                 _fail(f"$.nodes[{i}].moves.{action}", "expected a child identifier string")
-            successor_map[(node_id, action)] = child
+            successor_map[node_id, action] = child
         choice_nodes.append(node_id)
         action_map[node_id] = tuple(moves)
-        player_map[node_id] = node["player"]
-        infoset_of[node_id] = node["infoset"]
+        player_map[node_id] = player
+        infosets.setdefault(infoset, []).append(node_id)
 
     outcomes: list[str] = []
     utility_map: dict[tuple[str, str], Fraction] = {}
+    # One Fraction per distinct integer payoff of this document.
+    exact_ints: dict[int, Fraction] = {}
     for i, outcome in enumerate(doc["outcomes"]):
         if type(outcome) is not dict or outcome.keys() != OUTCOME_KEYS:
             _require_object(outcome, f"$.outcomes[{i}]", OUTCOME_KEYS)
-        outcome_id = outcome["id"]
-        if not isinstance(outcome_id, str):
+        outcome_id, payoffs = outcome["id"], outcome["payoffs"]
+        if type(outcome_id) is not str:
             _fail(f"$.outcomes[{i}].id", "expected a string")
         if outcome_id in seen:
             _fail(f"$.outcomes[{i}].id", f"DUPLICATE_ID: {outcome_id!r} already declared")
         seen.add(outcome_id)
-        payoffs = outcome["payoffs"]
-        if not isinstance(payoffs, dict):
+        if type(payoffs) is not dict:
             _fail(f"$.outcomes[{i}].payoffs", "expected an object mapping players to numbers")
         outcomes.append(outcome_id)
         for player, value in payoffs.items():
             if type(value) is int:
-                utility_map[(player, outcome_id)] = Fraction(value)
-                continue
-            try:
-                utility_map[(player, outcome_id)] = parse_exact(value, "payoff")
-            except ValueError as exc:
-                raise ParseError(f"$.outcomes[{i}].payoffs.{player}: {exc}") from exc
-
-    infosets: dict[str, list[str]] = {}
-    for node_id in choice_nodes:
-        infosets.setdefault(infoset_of[node_id], []).append(node_id)
+                exact = exact_ints.get(value)
+                if exact is None:
+                    exact = exact_ints[value] = Fraction(value)
+            else:
+                try:
+                    exact = parse_exact(value, "payoff")
+                except ValueError as exc:
+                    raise ParseError(f"$.outcomes[{i}].payoffs.{player}: {exc}") from exc
+            utility_map[player, outcome_id] = exact
 
     return Game(
         players=tuple(players),

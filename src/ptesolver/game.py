@@ -17,6 +17,11 @@ recall off that walk, and ``solve`` its canonical check and outcome
 masks, so a command that validates and then solves walks the tree once.
 ``canonicalize`` reads its input's index and makes no other; the game it
 returns builds its own on first use.
+
+Loading a game costs one pass per layer: the walk visits each element
+once and fills every position list as it goes, bar one backward pass for
+the subtree ends, and the structural checks read each map of the game in
+one loop, looking up each choice node's action set and player once.
 """
 
 from __future__ import annotations
@@ -102,30 +107,43 @@ class _Tree:
     index is made; the tie flag on first use, since ``is_canonical`` and
     ``canonicalize`` never need it. The index keeps the payoff maps it
     reads, not the game, so it makes no reference cycle.
+
+    The walk pushes each child with its edge and its parent's position,
+    so ``up`` is filled as elements are placed, and ``end`` takes one
+    backward pass: a subtree ends where its last child's subtree ends.
     """
 
     def __init__(self, game: Game) -> None:
+        action_map, successor_map = game.action_map, game.successor_map
         order: list[str] = []
         pos: dict[str, int] = {}
+        up: list[int] = []
         parent: dict[str, tuple[str, str]] = {}
         revisited = None
-        stack: list[tuple[str, tuple[str, str] | None]] = [(game.root, None)]
+        stack: list[tuple[str, tuple[str, str] | None, int]] = [(game.root, None, -1)]
         while stack:
-            element, via = stack.pop()
+            element, edge, above = stack.pop()
             if element in pos:
-                revisited = element if revisited is None else revisited
+                if revisited is None:
+                    revisited = element
                 continue
-            pos[element] = len(order)
+            here = pos[element] = len(order)
             order.append(element)
-            if via is not None:
-                parent[element] = via
-            edges = [(element, a) for a in game.action_map.get(element, ()) if (element, a) in game.successor_map]
-            stack.extend((game.successor_map[edge], edge) for edge in reversed(edges))
+            up.append(above)
+            if edge is not None:
+                parent[element] = edge
+            actions = action_map.get(element)
+            if actions:
+                for action in reversed(actions):
+                    edge = (element, action)
+                    child = successor_map.get(edge)
+                    if child is not None:
+                        stack.append((child, edge, here))
         end = list(range(1, len(order) + 1))
-        up = [-1] * len(order)
         for i in range(len(order) - 1, 0, -1):
-            up[i] = above = pos[parent[order[i]][0]]
-            end[above] = max(end[above], end[i])
+            above = up[i]
+            if end[above] < end[i]:
+                end[above] = end[i]
         self.order, self.pos, self.end, self.up, self.parent, self.revisited = order, pos, end, up, parent, revisited
         self.violation = _canonical_violation(game, self)
         self._payoffs = game.players, game.outcomes, game.utility_map
@@ -152,39 +170,60 @@ def _repeats(values: Iterable[Fraction]) -> bool:
 
 
 def _structural_issues(game: Game) -> list[ValidationIssue]:
+    """Every structural violation, grouped by rule in a fixed order.
+
+    Each map of the game is read in one loop, and each choice node's
+    action set and player are looked up once. The edges a node's actions
+    lack are found in the node loop but reported after the successor
+    map's issues, where their rule stands.
+    """
     issues: list[ValidationIssue] = []
 
     def err(code: str, message: str, ids: Iterable[str] = ()) -> None:
         issues.append(ValidationIssue(code, message, tuple(ids)))
 
-    node_set = set(game.choice_nodes)
-    outcome_set = set(game.outcomes)
-    if len(node_set) != len(game.choice_nodes) or len(outcome_set) != len(game.outcomes):
+    players, actions, choice_nodes, outcomes = game.players, game.actions, game.choice_nodes, game.outcomes
+    action_map, player_map, successor_map, utility_map = (
+        game.action_map,
+        game.player_map,
+        game.successor_map,
+        game.utility_map,
+    )
+    node_set = set(choice_nodes)
+    outcome_set = set(outcomes)
+    if len(node_set) != len(choice_nodes) or len(outcome_set) != len(outcomes):
         err("DUPLICATE_ID", "duplicate node or outcome identifier")
     overlap = node_set & outcome_set
     if overlap:
         err("DUPLICATE_ID", "identifier used for both a node and an outcome", sorted(overlap))
     elements = node_set | outcome_set
-    player_set = set(game.players)
-    action_set = set(game.actions)
-    if len(player_set) != len(game.players):
+    player_set = set(players)
+    action_set = set(actions)
+    if len(player_set) != len(players):
         err("DUPLICATE_PLAYER", "duplicate player identifier")
-    if len(action_set) != len(game.actions):
+    if len(action_set) != len(actions):
         err("DUPLICATE_ACTION", "duplicate action identifier")
 
     if game.root not in elements:
         err("UNKNOWN_ROOT", f"root {game.root!r} is not a declared node or outcome", [game.root])
 
-    for node in game.choice_nodes:
-        if node not in game.action_map:
+    missing_edges: list[tuple[str, str]] = []
+    for node in choice_nodes:
+        available = action_map.get(node)
+        if available is None:
             err("MISSING_ACTIONS", f"node {node!r} has no action set", [node])
-        elif not game.action_map[node]:
+        elif not available:
             err("NO_ACTIONS", f"choice node {node!r} offers no actions", [node])
-        if node not in game.player_map:
+        else:
+            for action in available:
+                if (node, action) not in successor_map:
+                    missing_edges.append((node, action))
+        player = player_map.get(node)
+        if player is None:
             err("MISSING_PLAYER", f"node {node!r} has no player", [node])
-        elif game.player_map[node] not in player_set:
-            err("UNKNOWN_PLAYER", f"node {node!r} names unknown player {game.player_map[node]!r}", [node])
-    for node, available in game.action_map.items():
+        elif player not in player_set:
+            err("UNKNOWN_PLAYER", f"node {node!r} names unknown player {player!r}", [node])
+    for node, available in action_map.items():
         if node not in node_set:
             err("UNKNOWN_NODE", f"action set declared for unknown node {node!r}", [node])
             continue
@@ -193,38 +232,31 @@ def _structural_issues(game: Game) -> list[ValidationIssue]:
                 err("UNKNOWN_ACTION", f"node {node!r} offers undeclared action {action!r}", [node, action])
         if len(set(available)) != len(available):
             err("DUPLICATE_ACTION", f"node {node!r} lists an action twice", [node])
-    for node in game.player_map:
+    for node in player_map:
         if node not in node_set:
             err("UNKNOWN_NODE", f"player declared for unknown node {node!r}", [node])
 
-    seen_children: dict[str, tuple[str, str]] = {}
-    for (node, action), child in game.successor_map.items():
+    parent_edge: dict[str, tuple[str, str]] = {}
+    for edge, child in successor_map.items():
+        node, action = edge
         if node not in node_set:
             err("UNKNOWN_NODE", f"successor declared at unknown node {node!r}", [node])
             continue
-        if action not in game.action_map.get(node, ()):
-            err("MOVE_NOT_AVAILABLE", f"successor at {node!r} uses unavailable action {action!r}", [node, action])
+        if action not in action_map.get(node, ()):
+            err("MOVE_NOT_AVAILABLE", f"successor at {node!r} uses unavailable action {action!r}", edge)
         if child not in elements:
             err("UNKNOWN_TARGET", f"successor of ({node!r}, {action!r}) is unknown: {child!r}", [node, action, child])
             continue
-        if child in seen_children:
-            other = seen_children[child]
-            err(
-                "DUPLICATE_SUCCESSOR",
-                f"{child!r} is the successor of both {other!r} and {(node, action)!r}",
-                [child],
-            )
-        else:
-            seen_children[child] = (node, action)
-    for node in game.choice_nodes:
-        for action in game.action_map.get(node, ()):
-            if (node, action) not in game.successor_map:
-                err("MISSING_SUCCESSOR", f"no successor for action {action!r} at node {node!r}", [node, action])
+        # Distinct keys are distinct objects: the stored edge is this one iff the child was new.
+        other = parent_edge.setdefault(child, edge)
+        if other is not edge:
+            err("DUPLICATE_SUCCESSOR", f"{child!r} is the successor of both {other!r} and {edge!r}", [child])
+    for node, action in missing_edges:
+        err("MISSING_SUCCESSOR", f"no successor for action {action!r} at node {node!r}", [node, action])
 
     # Single root, single connected component.
     if not issues:
-        with_parent = set(seen_children)
-        parentless = elements - with_parent
+        parentless = elements.difference(parent_edge)
         if parentless != {game.root}:
             err(
                 "FOREST",
@@ -232,7 +264,7 @@ def _structural_issues(game: Game) -> list[ValidationIssue]:
                 sorted(parentless.symmetric_difference({game.root})),
             )
         else:
-            unreachable = elements - game._tree.pos.keys()
+            unreachable = elements.difference(game._tree.pos)
             if unreachable:
                 err("FOREST", "nodes or outcomes unreachable from the root", sorted(unreachable))
 
@@ -242,31 +274,35 @@ def _structural_issues(game: Game) -> list[ValidationIssue]:
         if not members:
             err("EMPTY_INFOSET", f"information set {label!r} has no nodes", [label])
             continue
+        cell_players: set[str] = set()
+        action_sets: set[tuple[str, ...]] = set()
         for node in members:
             if node not in node_set:
                 err("UNKNOWN_NODE", f"information set {label!r} lists unknown node {node!r}", [label, node])
                 continue
-            if node in assigned:
-                err("PARTITION_OVERLAP", f"node {node!r} is in cells {assigned[node]!r} and {label!r}", [node])
+            previous = assigned.get(node)
+            if previous is not None:
+                err("PARTITION_OVERLAP", f"node {node!r} is in cells {previous!r} and {label!r}", [node])
             assigned[node] = label
-        known = [n for n in members if n in node_set]
-        if not known:
-            continue
-        cell_players = {game.player_map[n] for n in known if n in game.player_map}
+            player = player_map.get(node)
+            if player is not None:
+                cell_players.add(player)
+            available = action_map.get(node)
+            if available is not None:
+                action_sets.add(available)
         if len(cell_players) > 1:
             err("INFOSET_PLAYER_MIX", f"information set {label!r} mixes players", [label])
-        action_sets = {frozenset(game.action_map[n]) for n in known if n in game.action_map}
-        if len(action_sets) > 1:
+        if len({frozenset(available) for available in action_sets}) > 1:
             err("INFOSET_ACTION_MIX", f"information set {label!r} mixes action sets", [label])
-    for node in game.choice_nodes:
+    for node in choice_nodes:
         if node not in assigned:
             err("PARTITION_MISSING", f"node {node!r} is in no information set", [node])
 
-    for player in game.players:
-        for outcome in game.outcomes:
-            if (player, outcome) not in game.utility_map:
+    for player in players:
+        for outcome in outcomes:
+            if (player, outcome) not in utility_map:
                 err("MISSING_UTILITY", f"no payoff for player {player!r} at outcome {outcome!r}", [player, outcome])
-    for player, outcome in game.utility_map:
+    for player, outcome in utility_map:
         if player not in player_set or outcome not in outcome_set:
             err("UNKNOWN_UTILITY_KEY", f"payoff declared for unknown ({player!r}, {outcome!r})", [player, outcome])
 

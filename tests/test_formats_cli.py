@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -413,6 +414,62 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.fixture(params=[True, False], ids=["collecting", "not-collecting"])
+def collector(request):
+    """The cyclic collector switched on or off around a test, then put back."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollector:
+    """`run` turns the cyclic collector off for one command and puts back the state it found."""
+
+    @pytest.mark.parametrize(
+        "make_argv, code",
+        [
+            (lambda tmp: ["validate", PD_PATH], 0),
+            (lambda tmp: ["validate", str(tmp / "broken.json")], 1),
+            (lambda tmp: ["solve", str(tmp / "dead_end.json")], 1),
+            (lambda tmp: ["solve", "--quiet", WITNESS_PATH], 2),
+        ],
+        ids=["exit-0", "parse-error", "structural-errors", "exit-2"],
+    )
+    def test_run_restores_the_collector(self, collector, make_argv, code, tmp_path, capsys):
+        (tmp_path / "broken.json").write_text("{not json")
+        (tmp_path / "dead_end.json").write_text(json.dumps(DEAD_END))
+        assert run(make_argv(tmp_path)) == code
+        assert gc.isenabled() is collector
+
+    def test_argparse_exit_restores_the_collector(self, collector, capsys):
+        with pytest.raises(SystemExit):
+            run(["no-such-command"])
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["validate", PD_PATH], 0),
+            (["canonicalize", PD_PATH], 0),
+            (["solve", PD_PATH], 0),
+            (["export-dot", PD_PATH], 0),
+            (["oracle-compare", PD_PATH], 0),
+            (["solve", WITNESS_PATH], 2),
+            (["validate", WITNESS_PATH], 0),
+            (["spacetime-build", SETUP_PATH], 0),
+            (["spacetime-build", "--game-only", SETUP_PATH], 0),
+            (["search-counterexample", "--max-rows", "2", "--max-cols", "2"], 0),
+        ],
+    )
+    def test_a_command_leaves_no_cyclic_garbage(self, argv, code, capsys):
+        # The first run pays for the imports; the second must free all it made by reference counting.
+        assert run(argv) == code
+        gc.collect()
+        assert run(argv) == code
+        assert gc.collect() == 0
 
 
 def _with_huge_number(path: str, value: str) -> tuple[dict, str]:

@@ -147,6 +147,112 @@ class TestValidate:
             assert report.errors == ()
             assert report.is_canonical
 
+    def test_every_structural_issue_in_report_order(self):
+        # One game breaks every rule but the forest check, which runs only on
+        # an otherwise sound game; the report lists its issues rule by rule,
+        # each rule's in the order of the map it reads.
+        game = Game(
+            players=("P", "Q", "P"),
+            actions=("L", "R", "L"),
+            choice_nodes=("n0", "n1", "n1", "n2", "n3", "x"),
+            outcomes=("zL", "zR", "x", "zQ"),
+            action_map={"n0": ("L", "R"), "n1": (), "n3": ("L", "M", "L"), "x": ("L",), "ghost": ("L",)},
+            player_map={"n0": "P", "n2": "Z", "n3": "Q", "x": "P", "spirit": "P"},
+            successor_map={
+                ("n0", "L"): "zL",
+                ("n0", "R"): "zR",
+                ("n3", "L"): "zL",
+                ("n3", "M"): "nowhere",
+                ("n3", "X"): "zQ",
+                ("n3", "Y"): "void",
+                ("wraith", "L"): "zQ",
+            },
+            utility_map={
+                ("P", "zL"): Fraction(1),
+                ("Q", "zL"): Fraction(2),
+                ("P", "zR"): Fraction(3),
+                ("Q", "x"): Fraction(4),
+                ("R", "zL"): Fraction(5),
+                ("P", "zQ"): Fraction(6),
+                ("Q", "zQ"): Fraction(7),
+                ("P", "gone"): Fraction(8),
+            },
+            infosets={"empty": (), "c0": ("n0", "phantom"), "c1": ("n3", "x"), "c2": ("n3",), "c3": ("n3",)},
+            root="r",
+        )
+        assert [(i.code, i.message, i.ids) for i in validate_game(game).errors] == [
+            ("DUPLICATE_ID", "duplicate node or outcome identifier", ()),
+            ("DUPLICATE_ID", "identifier used for both a node and an outcome", ("x",)),
+            ("DUPLICATE_PLAYER", "duplicate player identifier", ()),
+            ("DUPLICATE_ACTION", "duplicate action identifier", ()),
+            ("UNKNOWN_ROOT", "root 'r' is not a declared node or outcome", ("r",)),
+            ("NO_ACTIONS", "choice node 'n1' offers no actions", ("n1",)),
+            ("MISSING_PLAYER", "node 'n1' has no player", ("n1",)),
+            ("NO_ACTIONS", "choice node 'n1' offers no actions", ("n1",)),
+            ("MISSING_PLAYER", "node 'n1' has no player", ("n1",)),
+            ("MISSING_ACTIONS", "node 'n2' has no action set", ("n2",)),
+            ("UNKNOWN_PLAYER", "node 'n2' names unknown player 'Z'", ("n2",)),
+            ("UNKNOWN_ACTION", "node 'n3' offers undeclared action 'M'", ("n3", "M")),
+            ("DUPLICATE_ACTION", "node 'n3' lists an action twice", ("n3",)),
+            ("UNKNOWN_NODE", "action set declared for unknown node 'ghost'", ("ghost",)),
+            ("UNKNOWN_NODE", "player declared for unknown node 'spirit'", ("spirit",)),
+            ("DUPLICATE_SUCCESSOR", "'zL' is the successor of both ('n0', 'L') and ('n3', 'L')", ("zL",)),
+            ("UNKNOWN_TARGET", "successor of ('n3', 'M') is unknown: 'nowhere'", ("n3", "M", "nowhere")),
+            ("MOVE_NOT_AVAILABLE", "successor at 'n3' uses unavailable action 'X'", ("n3", "X")),
+            ("MOVE_NOT_AVAILABLE", "successor at 'n3' uses unavailable action 'Y'", ("n3", "Y")),
+            ("UNKNOWN_TARGET", "successor of ('n3', 'Y') is unknown: 'void'", ("n3", "Y", "void")),
+            ("UNKNOWN_NODE", "successor declared at unknown node 'wraith'", ("wraith",)),
+            ("MISSING_SUCCESSOR", "no successor for action 'L' at node 'x'", ("x", "L")),
+            ("EMPTY_INFOSET", "information set 'empty' has no nodes", ("empty",)),
+            ("UNKNOWN_NODE", "information set 'c0' lists unknown node 'phantom'", ("c0", "phantom")),
+            ("INFOSET_PLAYER_MIX", "information set 'c1' mixes players", ("c1",)),
+            ("INFOSET_ACTION_MIX", "information set 'c1' mixes action sets", ("c1",)),
+            ("PARTITION_OVERLAP", "node 'n3' is in cells 'c1' and 'c2'", ("n3",)),
+            ("PARTITION_OVERLAP", "node 'n3' is in cells 'c2' and 'c3'", ("n3",)),
+            ("PARTITION_MISSING", "node 'n1' is in no information set", ("n1",)),
+            ("PARTITION_MISSING", "node 'n1' is in no information set", ("n1",)),
+            ("PARTITION_MISSING", "node 'n2' is in no information set", ("n2",)),
+            ("MISSING_UTILITY", "no payoff for player 'P' at outcome 'x'", ("P", "x")),
+            ("MISSING_UTILITY", "no payoff for player 'Q' at outcome 'zR'", ("Q", "zR")),
+            ("MISSING_UTILITY", "no payoff for player 'P' at outcome 'x'", ("P", "x")),
+            ("UNKNOWN_UTILITY_KEY", "payoff declared for unknown ('R', 'zL')", ("R", "zL")),
+            ("UNKNOWN_UTILITY_KEY", "payoff declared for unknown ('P', 'gone')", ("P", "gone")),
+        ]
+
+    @pytest.mark.parametrize(
+        "root, edges, outcomes, expected",
+        [
+            # n1 is declared the root but hangs below n0, and zX has no parent.
+            (
+                "n1",
+                {"n0": ("n1", "zR"), "n1": ("n2", "zL"), "n2": ("zA", "zB")},
+                ("zA", "zB", "zL", "zR", "zX"),
+                ("the tree must have exactly one root, the declared one", ("n0", "n1", "zX")),
+            ),
+            # n1 and n2 are each other's children: only the root has no parent.
+            (
+                "n0",
+                {"n0": ("zL", "zR"), "n1": ("n2", "zA"), "n2": ("n1", "zB")},
+                ("zA", "zB", "zL", "zR"),
+                ("nodes or outcomes unreachable from the root", ("n1", "n2", "zA", "zB")),
+            ),
+        ],
+        ids=["two-roots", "cycle"],
+    )
+    def test_forest_issues(self, root, edges, outcomes, expected):
+        # The forest check runs only on an otherwise sound game, so each case has its own.
+        game = one_shot_game(
+            choice_nodes=tuple(edges),
+            outcomes=outcomes,
+            action_map={node: ("L", "R") for node in edges},
+            player_map={node: "P" for node in edges},
+            successor_map={(node, a): child for node, pair in edges.items() for a, child in zip("LR", pair)},
+            utility_map={("P", z): Fraction(i) for i, z in enumerate(outcomes)},
+            infosets={f"i{node}": (node,) for node in edges},
+            root=root,
+        )
+        assert [(i.code, i.message, i.ids) for i in validate_game(game).errors] == [("FOREST", *expected)]
+
 
 def subtree(game: Game, start: str) -> set[str]:
     """``start`` and every element whose root path crosses it."""
@@ -186,6 +292,68 @@ class TestNavigation:
                 assert set(tree.order[i : tree.end[i]]) == subtree(game, element)
                 if element != game.root:
                     assert tree.parent[element] == paths[element][-1]
+
+    @pytest.mark.parametrize(
+        "root, edges",
+        [
+            # zA is below both n1 and n2, and n3 shares n0's cell below it.
+            ("n0", {"n0": ("n1", "n2"), "n1": ("zA", "zB"), "n2": ("n3", "zA"), "n3": ("zC", "zD")}),
+            # n2's L edge leads back to the root.
+            ("n0", {"n0": ("n1", "zA"), "n1": ("zB", "n2"), "n2": ("n0", "n3"), "n3": ("zC", "zD")}),
+            # n1 offers R but has no successor under it.
+            ("n0", {"n0": ("n1", "n3"), "n1": ("zA", None), "n3": ("zC", "zD")}),
+            ("nowhere", {"n0": ("zA", "zB")}),
+        ],
+        ids=["reached-twice", "cycle-to-root", "missing-successor", "unknown-root"],
+    )
+    def test_index_of_a_successor_map_that_is_not_a_tree(self, root, edges):
+        game = one_shot_game(
+            choice_nodes=tuple(edges),
+            outcomes=("zA", "zB", "zC", "zD"),
+            action_map={node: ("L", "R") for node in edges},
+            player_map={node: "P" for node in edges},
+            successor_map={
+                (node, a): child for node, pair in edges.items() for a, child in zip("LR", pair) if child is not None
+            },
+            utility_map={},
+            infosets={"i0": tuple(n for n in ("n3", "n0") if n in edges), "i1": tuple(n for n in ("n1", "n2") if n in edges)},
+            root=root,
+        )
+        order: list[str] = []
+        pos: dict[str, int] = {}
+        end: dict[int, int] = {}
+        up: list[int] = []
+        parent: dict[str, tuple[str, str]] = {}
+        revisited: list[str] = []
+
+        def visit(element: str, edge: tuple[str, str] | None, above: int) -> None:
+            if element in pos:
+                revisited.append(element)
+                return
+            here = pos[element] = len(order)
+            order.append(element)
+            up.append(above)
+            if edge is not None:
+                parent[element] = edge
+            for action in game.action_map.get(element, ()):
+                if (element, action) in game.successor_map:
+                    visit(game.successor_map[element, action], (element, action), here)
+            end[here] = len(order)
+
+        visit(game.root, None, -1)
+        violation = None
+        for here, node in enumerate(order):
+            cells = [(label, members) for label, members in game.infosets.items() if node in members]
+            below = [(label, m) for label, members in cells for m in members if here < pos.get(m, -1) < end[here]]
+            if below:
+                violation = (below[0][0], node, below[0][1])
+                break
+
+        tree = _Tree(game)
+        assert tree.order == order and tree.pos == pos and tree.up == up and tree.parent == parent
+        assert tree.end == [end[i] for i in range(len(order))]
+        assert tree.revisited == (revisited[0] if revisited else None)
+        assert tree.violation == violation
 
     def test_descendants_in_hexa_game(self, hexa_setup):
         game = build_game(hexa_setup)
