@@ -306,9 +306,14 @@ def parse_setup(text: str) -> SpacetimeSetup:
     for pid, row in doc["contingency"].items():
         if not isinstance(row, dict):
             _fail(f"$.contingency.{pid}", "expected an object mapping point ids to actions")
-        for other, action in row.items():
-            if not isinstance(action, str):
-                _fail(f"$.contingency.{pid}.{other}", "expected an action string")
+        # str.join refuses any value that is not a string, in one pass in C;
+        # only then does the loop run, to name the first such value.
+        try:
+            "".join(row.values())
+        except TypeError:
+            for other, action in row.items():
+                if not isinstance(action, str):
+                    _fail(f"$.contingency.{pid}.{other}", "expected an action string")
         contingency[pid] = dict(row)
 
     if not isinstance(doc["utilities"], dict):

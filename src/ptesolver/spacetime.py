@@ -24,13 +24,14 @@ lists one utilities entry per complete history, so the walk stops, and
 validation reports ``TOO_MANY_HISTORIES``, once it has found more than
 ``HISTORY_SLACK`` complete histories beyond that count.
 
-Validation and the build take time quadratic in the points, plus the
-total length of the histories they walk. The precedence test compares
-each pair of points once, on integers: each point is scaled by the lcm
-of its own coordinates' denominators, which keeps the interval's sign
-exact without Fraction arithmetic. The contingency checks make one pass
-of bit masks over the triangle, and a forced skip costs O(1) unless the
-skipped point's row has to be compared in full.
+Precedence and the containment of contingency rows are transitive, so
+validation builds each as a closure over the total order and tests a
+pair only when no earlier result implies it: n - 1 interval tests for a
+timelike chain of n points, n(n - 1)/2 when no pair is timelike. Each
+point is scaled by the lcm of its own coordinates' denominators, so the
+interval's sign is exact on integers. A row is read at its required
+positions by one ``itemgetter``, in C, and a forced skip costs O(1)
+unless the skipped point's row has to be read.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, repeat
 from math import lcm
-from operator import mul
+from operator import contains, is_not, itemgetter, mul
 from typing import Mapping, Sequence
 
 from .game import Game, ValidationIssue
@@ -114,7 +116,7 @@ class SetupError(ValueError):
 
 
 def separation(p: Sequence[Fraction], q: Sequence[Fraction], dimension: int) -> Separation:
-    """Classify two events, the two-point case of the integer interval test in :func:`causal_dag`."""
+    """Classify two events, the two-point case of the integer interval test in :func:`_precedence`."""
     if len(p) != dimension or len(q) != dimension:
         raise ValueError(f"coordinates must have length {dimension}")
     if tuple(p) == tuple(q):
@@ -137,10 +139,10 @@ def _scaled(points: Sequence[Sequence[Fraction]], dimension: int) -> list[_Scale
     Scaling each point on its own, not all of them by one common
     denominator, keeps its integers about as long as its own coordinates.
     This is the one interval test of the package: :func:`separation` is
-    its two-point case, and :func:`causal_dag` and
-    :func:`spacelike_agent_check` scale each point once and compare every
-    pair with :func:`_time_gap`. Raises like :func:`separation` once there
-    is a pair to compare and a point has the wrong number of coordinates.
+    its two-point case, and :func:`_precedence` and
+    :func:`spacelike_agent_check` scale each point once and compare pairs
+    with :func:`_time_gap`. Raises like :func:`separation` once there is a
+    pair to compare and a point has the wrong number of coordinates.
     """
     if len(points) > 1 and any(len(coords) != dimension for coords in points):
         raise ValueError(f"coordinates must have length {dimension}")
@@ -169,17 +171,36 @@ def _time_gap(p: _Scaled, q: _Scaled) -> int:
     return 0 if gap * gap < space else gap
 
 
+def _precedence(order: Sequence[DecisionPoint], dimension: int) -> list[int]:
+    """Bit l of ``precedes[k]``: ``order[l]`` is a timelike predecessor of ``order[k]``.
+
+    ``order`` must be compatible with precedence, as :func:`total_order`
+    is. The sum of two future-directed causal vectors is one too, so each
+    point scans the earlier positions downwards, takes in the whole mask of
+    each predecessor it finds, and tests only the positions not yet covered.
+    """
+    scaled = _scaled([point.coords for point in order], dimension)
+    precedes: list[int] = []
+    for k, q in enumerate(scaled):
+        known, l = 0, k
+        while l:
+            l -= 1
+            if not known >> l & 1 and _time_gap(scaled[l], q):
+                known |= precedes[l] | 1 << l
+                # Go on from the highest position below l not yet covered.
+                l = (~known & ((1 << l) - 1)).bit_length()
+        precedes.append(known)
+    return precedes
+
+
 def causal_dag(setup: SpacetimeSetup) -> dict[str, frozenset[str]]:
-    """The timelike-precedence relation: id -> ids it strictly precedes."""
+    """The timelike-precedence relation: id -> ids it strictly precedes, read off :func:`_precedence`."""
+    order = total_order(setup)
     edges: dict[str, set[str]] = {point.id: set() for point in setup.points}
-    scaled = _scaled([point.coords for point in setup.points], setup.dimension)
-    for i, (p, p_int) in enumerate(zip(setup.points, scaled)):
-        for q, q_int in zip(setup.points[i + 1 :], scaled[i + 1 :]):
-            gap = _time_gap(p_int, q_int)
-            if gap > 0:
-                edges[p.id].add(q.id)
-            elif gap < 0:
-                edges[q.id].add(p.id)
+    for point, before in zip(order, _precedence(order, setup.dimension)):
+        for l, earlier in enumerate(order):
+            if before >> l & 1:
+                edges[earlier.id].add(point.id)
     return {pid: frozenset(succ) for pid, succ in edges.items()}
 
 
@@ -191,21 +212,23 @@ def total_order(setup: SpacetimeSetup) -> list[DecisionPoint]:
     and colocated points share every coordinate, which keeps them
     adjacent.
     """
-    return sorted(setup.points, key=lambda pt: (pt.coords[-1], pt.coords[:-1], pt.id))
+    return sorted(setup.points, key=lambda pt: (pt.coords[-1:], pt.coords[:-1], pt.id))
 
 
 class _Triangle:
     """The points in total order and their contingency rows, derived once.
 
     Row k has one entry per earlier point: the action the contingency
-    requires there, or None; ``last[k]`` is the position of its last
-    requirement, or -1. A prefix covering the first k points leaves a
-    decision pending at point k iff it meets row k. The histories, and
-    the children of each pending one, are walked on first use and kept
-    with the object, which lives for one validation or build: validation
-    reads the complete histories and :func:`build_game` the children as
-    its edges. The walk enumerates at most ``bound`` complete histories,
-    the setup's utilities entries plus ``HISTORY_SLACK``, and then stops.
+    requires there, or None. ``required[k]`` lists the positions it
+    requires an action at, ``last[k]`` is the last of them, or -1, and a
+    row or prefix meets row k iff ``getters[k]`` reads ``values[k]`` from
+    it. A prefix covering the first k points leaves a decision pending at
+    point k iff it meets row k. The histories, and the children of each
+    pending one, are walked on first use and kept with the object, which
+    lives for one validation or build: validation reads the complete
+    histories and :func:`build_game` the children as its edges. The walk
+    enumerates at most ``bound`` complete histories, the setup's
+    utilities entries plus ``HISTORY_SLACK``, and then stops.
     """
 
     def __init__(self, setup: SpacetimeSetup) -> None:
@@ -213,14 +236,19 @@ class _Triangle:
         self.order = total_order(setup)
         ids = [point.id for point in self.order]
         self.rows: list[tuple[str | None, ...]] = []
-        self.last: list[int] = []
+        self.required: list[list[int]] = []
+        self.getters: list[itemgetter] = []
+        self.values: list[object] = []
         for k, pid in enumerate(ids):
             row = tuple(map(setup.contingency.get(pid, {}).get, ids[:k]))
-            last = k - 1
-            while last >= 0 and row[last] is None:
-                last -= 1
+            required = list(compress(range(k), map(is_not, row, repeat(None))))
+            # A row that requires nothing reads the empty slice, which every row meets.
+            getter = itemgetter(*required) if required else itemgetter(slice(0))
             self.rows.append(row)
-            self.last.append(last)
+            self.required.append(required)
+            self.getters.append(getter)
+            self.values.append(getter(row))
+        self.last = [required[-1] if required else -1 for required in self.required]
 
     def successor(self, history: tuple[str, ...], action: str) -> tuple[str, ...]:
         """Extend a history's actions by a decision plus any forced skips.
@@ -230,16 +258,14 @@ class _Triangle:
         decision pending or at completion. No point offers ``_`` and every
         row entry is one of its point's actions, so a dummy never meets a
         requirement. A row whose last requirement falls on a skipped point
-        cannot be met; any other row is compared in full with the extended
-        prefix. Distinct (history, action) pairs give distinct results,
-        since the input is recoverable by stripping the trailing dummies
-        and the last action.
+        cannot be met; any other row's getter reads the extended prefix.
+        Distinct (history, action) pairs give distinct results, since the
+        input is recoverable by stripping the trailing dummies and the last
+        action.
         """
         extended = history + (action,)
         start = k = len(extended)
-        while k < len(self.order) and (
-            self.last[k] >= start or not all(a is None or a == b for a, b in zip(self.rows[k], extended))
-        ):
+        while k < len(self.order) and (self.last[k] >= start or self.getters[k](extended) != self.values[k]):
             k += 1
         return extended + ("_",) * (k - start)
 
@@ -282,6 +308,7 @@ def _triangle_issues(setup: SpacetimeSetup, triangle: _Triangle) -> list[Validat
     """
     errors: list[ValidationIssue] = []
     order = triangle.order
+    offers = [point.actions for point in order]
     index = {point.id: position for position, point in enumerate(order)}
 
     for pid, assigned in setup.contingency.items():
@@ -304,33 +331,30 @@ def _triangle_issues(setup: SpacetimeSetup, triangle: _Triangle) -> list[Validat
     if errors:
         return errors
 
-    dag = causal_dag(setup)
     # Masks over order positions. Bit l of precedes[k]: order[l] is a
-    # timelike predecessor of order[k]. Over the rows already passed, bit l
-    # of required_at[m]: row l requires an action at m; bit l of
-    # equal_at[m][a]: the action it requires there is a.
-    precedes = [0] * len(order)
-    for l, point in enumerate(order):
-        for later in dag[point.id]:
-            precedes[index[later]] |= 1 << l
-    required_at = [0] * len(order)
-    equal_at: list[dict[str, int]] = [{} for _ in order]
-    for k, (point, row_k) in enumerate(zip(order, triangle.rows)):
-        # Bit l of conflicts: row l requires something row k does not; of
-        # entries: row k assigns an action to order[l]; of bad: one that
-        # order[l] does not offer.
-        entries = conflicts = bad = 0
-        for m, entry in enumerate(row_k):
-            conflicts |= required_at[m] ^ equal_at[m].get(entry, 0)
-            if entry is not None:
-                entries |= 1 << m
-                if entry not in order[m].actions:
-                    bad |= 1 << m
-                required_at[m] |= 1 << k
-                equal_at[m][entry] = equal_at[m].get(entry, 0) | 1 << k
-        before = precedes[k]
+    # timelike predecessor of order[k]; of agrees[k]: row l requires nothing
+    # row k does not, for each l among row k's entries and predecessors.
+    # That is transitive, so only rows no agreeing row covers are compared.
+    precedes = _precedence(order, setup.dimension)
+    bits = [1 << m for m in range(len(order))]
+    agrees: list[int] = []
+    for point, row_k, required, before in zip(order, triangle.rows, triangle.required, precedes):
+        # Bit l of entries: row k assigns an action to order[l]; of bad: one
+        # that order[l] does not offer, looked for only if a pass in C finds one.
+        entries = sum(map(bits.__getitem__, required))
+        offered = all(map(contains, map(offers.__getitem__, required), map(row_k.__getitem__, required)))
+        bad = 0 if offered else sum(bits[m] for m in required if row_k[m] not in offers[m])
+        agreeing, rest = 0, entries | before
+        while rest:
+            l = rest.bit_length() - 1
+            if triangle.getters[l](row_k) == triangle.values[l]:
+                agreeing |= agrees[l] | bits[l]
+                rest &= ~agreeing
+            else:
+                rest ^= bits[l]
+        agrees.append(agreeing)
         # Only the positions with an issue are visited, in ascending order.
-        flagged = entries & (~before | conflicts | bad) | before & ~entries & ~conflicts
+        flagged = entries & (~before | ~agreeing | bad) | before & ~entries & agreeing
         while flagged:
             bit = flagged & -flagged
             flagged ^= bit
@@ -347,7 +371,7 @@ def _triangle_issues(setup: SpacetimeSetup, triangle: _Triangle) -> list[Validat
                             (point.id, earlier.id),
                         )
                     )
-                if conflicts & bit:
+                if not agreeing & bit:
                     errors.append(
                         ValidationIssue(
                             "INCONSISTENT_ROW",
@@ -481,17 +505,17 @@ def spacelike_agent_check(setup: SpacetimeSetup) -> bool:
     """True iff no agent decides at two spacelike or colocated points.
 
     When this holds every agent's points form a timelike chain, and the
-    induced game has perfect recall.
+    induced game has perfect recall. Precedence is transitive, so with an
+    agent's points sorted by time only consecutive pairs are tested.
     """
     by_agent: dict[str, list[DecisionPoint]] = {}
     for point in setup.points:
         by_agent.setdefault(point.agent, []).append(point)
     for points in by_agent.values():
+        points.sort(key=lambda point: point.coords[-1:])
         scaled = _scaled([point.coords for point in points], setup.dimension)
-        for i, p in enumerate(scaled):
-            for q in scaled[i + 1 :]:
-                if not _time_gap(p, q):
-                    return False
+        if not all(map(_time_gap, scaled, scaled[1:])):
+            return False
     return True
 
 

@@ -485,10 +485,12 @@ def _random_spacetime(rng: random.Random, params: GeneratorParams) -> Game:
     )
 
 
-def _forced_triangle(rng: random.Random, points: Sequence[DecisionPoint]) -> dict[str, dict[str, str]]:
+def _forced_triangle(
+    rng: random.Random, points: Sequence[DecisionPoint], dimension: int = 2
+) -> dict[str, dict[str, str]]:
     """The contingency entries are forced up to the choice of required action."""
     probe = SpacetimeSetup(
-        dimension=2,
+        dimension=dimension,
         agents=tuple(dict.fromkeys(p.agent for p in points)),
         actions=tuple(dict.fromkeys(a for p in points for a in p.actions)),
         points=tuple(points),

@@ -136,6 +136,14 @@ class TestSetupDocuments:
         with pytest.raises(ParseError, match="dimension"):
             parse_setup(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad", [3, None, ["b"], {"b": "1"}, True])
+    def test_contingency_value_that_is_not_an_action_string(self, hexa_setup, bad):
+        doc = json.loads(serialize_setup(hexa_setup))
+        row = doc["contingency"]["f"]
+        doc["contingency"]["f"] = {**dict(list(row.items())[:2]), "x": bad, "y": 7, **dict(list(row.items())[2:])}
+        with pytest.raises(ParseError, match=r"^\$\.contingency\.f\.x: expected an action string$"):
+            parse_setup(json.dumps(doc))
+
     def test_rational_coordinates(self, hexa_setup):
         doc = json.loads(serialize_setup(hexa_setup))
         doc["points"][0]["coords"] = ["-1.5", "0.25"]

@@ -24,6 +24,7 @@ from ptesolver import (
     DecisionPoint,
     SetupError,
     SpacetimeSetup,
+    ValidationIssue,
     build_game,
     causal_dag,
     embed_normal_form,
@@ -40,6 +41,7 @@ from ptesolver import spacetime as spacetime_module
 from ptesolver.spacetime import HISTORY_SLACK, _Triangle
 
 from conftest import (
+    _forced_triangle,
     fraction_separation,
     history_walk_game,
     pairwise_causal_dag,
@@ -295,6 +297,42 @@ class TestIntegerIntervals:
         assert causal_dag(replace(setup, points=setup.points[1:])) == {"q": frozenset()}
 
 
+class TestIntervalTestCount:
+    """Validation runs `_time_gap` only on pairs that earlier results do not already decide."""
+
+    @staticmethod
+    def counted(monkeypatch) -> list[None]:
+        calls: list[None] = []
+        time_gap = spacetime_module._time_gap
+
+        def counting(p, q):
+            calls.append(None)
+            return time_gap(p, q)
+
+        monkeypatch.setattr(spacetime_module, "_time_gap", counting)
+        return calls
+
+    def test_a_chain_takes_one_test_per_point_after_the_first(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        assert validate_setup(timelike_chain_setup(1000, 1)).ok
+        assert len(calls) == 999
+        chain = timelike_chain_setup(200, 1)
+        assert causal_dag(chain) == pairwise_causal_dag(chain)
+
+    def test_spacelike_points_take_every_pair(self, monkeypatch):
+        n = 200
+        setup = spacelike_setup(n)
+        calls = self.counted(monkeypatch)
+        validate_setup(setup)
+        assert len(calls) == n * (n - 1) // 2
+        assert causal_dag(setup) == pairwise_causal_dag(setup)
+
+    @pytest.mark.slow
+    def test_thousand_point_chain_dag_equals_the_pairwise_one(self):
+        chain = timelike_chain_setup(1000, 1)
+        assert causal_dag(chain) == pairwise_causal_dag(chain)
+
+
 class TestTriangle:
     def test_hexa_triangle_valid(self, hexa_setup):
         assert validate_setup(hexa_setup).ok
@@ -377,22 +415,94 @@ def mutated_contingencies(setup: SpacetimeSetup, rng: random.Random) -> list[Spa
     return [replace(setup, contingency=contingency) for contingency in mutants]
 
 
+def layered_setup(seed: int) -> SpacetimeSetup:
+    """8-12 points in 2+1 D, in layers of mutually spacelike points, with a forced triangle.
+
+    A layer's points share one time, and each layer is 10 later than the
+    last while no two points are 4 apart in space, so every pair across
+    layers is timelike: the precedence closure prunes across layers and
+    nothing within one.
+    """
+    rng = random.Random(seed)
+    pool = ("a", "b", "c")
+    n = rng.randint(8, 12)
+    points: list[DecisionPoint] = []
+    layer = 0
+    while len(points) < n:
+        spots = rng.sample([(x, y) for x in range(-2, 3) for y in range(-2, 3)], min(rng.randint(1, 4), n - len(points)))
+        for x, y in spots:
+            coords = (Fraction(x, 2), Fraction(y, 3), Fraction(10 * layer))
+            points.append(DecisionPoint(f"d{len(points)}", rng.choice("AB"), coords, pool[: rng.randint(1, 3)]))
+        layer += 1
+    return SpacetimeSetup(3, ("A", "B"), pool, tuple(points), _forced_triangle(rng, points, dimension=3), {})
+
+
+def repeated_inconsistency(setup: SpacetimeSetup, rng: random.Random) -> tuple[SpacetimeSetup, tuple[str, str]] | None:
+    """Row l made to conflict with an earlier row j it assigns an action to, and row k repeating it.
+
+    Row k, for some k that l precedes, requires what row l requires and an
+    action at l. So row l agrees with row k although row j, which row l
+    conflicts with, does not: the closure must compare rows k and j
+    itself. Returns the setup and (k, j), or None if no row has such a j.
+    """
+    rows = {pid: dict(row) for pid, row in setup.contingency.items()}
+    points = {point.id: point for point in setup.points}
+    dag = pairwise_causal_dag(setup)
+    choices = [
+        (l, j, m)
+        for l in sorted(rows)
+        for j in sorted(rows[l])
+        for m in sorted(rows.get(j, {}))
+        if dag[l] and len(points[m].actions) > 1
+    ]
+    if not choices:
+        return None
+    l, j, m = rng.choice(choices)
+    row_l = {**rows[l], m: rng.choice([a for a in points[m].actions if a != rows[j][m]])}
+    k = rng.choice(sorted(dag[l]))
+    contingency = {**rows, l: row_l, k: {**row_l, l: rng.choice(points[l].actions)}}
+    return replace(setup, contingency=contingency), (k, j)
+
+
 class TestTriangleReference:
-    """The mask pass reports what the pairwise row scan reports, issue for issue."""
+    """The closure reports what the pairwise row scan reports, issue for issue."""
+
+    @staticmethod
+    def reference_issues(mutant: SpacetimeSetup) -> list[ValidationIssue]:
+        """The pairwise scan's issues, once `validate_setup` is seen to report the same."""
+        reference = pairwise_triangle_issues(mutant)
+        errors = validate_setup(mutant).errors
+        if reference:
+            assert errors == tuple(reference)
+        else:
+            assert not TRIANGLE_CODES & {issue.code for issue in errors}
+        return reference
 
     def test_mutated_contingencies_report_as_the_pairwise_scan(self, hexa_setup):
         seen: set[str] = set()
         setups = [hexa_setup] + [random_setup(seed, max_points=7) for seed in range(300)]
         for seed, setup in enumerate(setups):
             for mutant in mutated_contingencies(setup, random.Random(seed)):
-                reference = pairwise_triangle_issues(mutant)
-                errors = validate_setup(mutant).errors
-                if reference:
-                    assert errors == tuple(reference)
-                else:
-                    assert not TRIANGLE_CODES & {issue.code for issue in errors}
-                seen.update(issue.code for issue in reference)
+                seen.update(issue.code for issue in self.reference_issues(mutant))
         assert seen == TRIANGLE_CODES
+
+    def test_layered_setups_in_2_plus_1_d_report_as_the_pairwise_scan(self):
+        seen: set[str] = set()
+        repeats = 0
+        for seed in range(80):
+            setup = layered_setup(seed)
+            assert self.reference_issues(setup) == []
+            rng = random.Random(seed)
+            for mutant in mutated_contingencies(setup, rng):
+                seen.update(issue.code for issue in self.reference_issues(mutant))
+            repeated = repeated_inconsistency(setup, rng)
+            if repeated is not None:
+                mutant, ids = repeated
+                reference = self.reference_issues(mutant)
+                assert ("INCONSISTENT_ROW", ids) in {(issue.code, issue.ids) for issue in reference}
+                repeats += 1
+        assert seen == TRIANGLE_CODES
+        assert repeats >= 40
 
 
 class TestMatches:
