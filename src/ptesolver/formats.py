@@ -11,15 +11,19 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Any, Iterator, Sequence, TextIO
 
 from .exact import _digit_limit, format_exact, parse_exact
 from .game import Game
 from .solver import SolveResult
 
+# Annotation-only names: `typing` is not loaded at run time.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Any, TextIO
+
     from .spacetime import DecisionPoint, SpacetimeSetup
 
 GAME_KEYS = {"players", "actions", "nodes", "outcomes", "root"}

@@ -26,18 +26,23 @@ one loop, looking up each choice node's action set and player once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 from .exact import parse_exact
 
+_GAME_FIELDS = "players actions choice_nodes outcomes action_map player_map successor_map utility_map infosets root"
 
-@dataclass(frozen=True)
-class Game:
+
+class Game(namedtuple("Game", _GAME_FIELDS)):
     """The game tuple: players, actions, tree structure, payoffs, cells.
 
+    ``players``, ``actions``, ``choice_nodes`` and ``outcomes`` are tuples
+    of ids; ``action_map`` maps a node to its action tuple, ``player_map``
+    a node to its player, ``successor_map`` a (node, action) edge to a node
+    or outcome and ``utility_map`` a (player, outcome) pair to a Fraction.
     ``successor_map`` is defined exactly on ``(node, a)`` pairs with
     ``a in action_map[node]`` and must be injective (each node or outcome
     has at most one parent edge). ``infosets`` maps a cell label to the
@@ -47,19 +52,13 @@ class Game:
 
     Tuples and dict insertion orders follow declaration order in the
     source document; all iteration in this package relies on that for
-    deterministic output.
+    deterministic output. A game is a named tuple, closed to assignment;
+    its only other attribute is the cached tree index, which equality,
+    ``repr`` and ``_replace`` ignore.
     """
 
-    players: tuple[str, ...]
-    actions: tuple[str, ...]
-    choice_nodes: tuple[str, ...]
-    outcomes: tuple[str, ...]
-    action_map: Mapping[str, tuple[str, ...]]
-    player_map: Mapping[str, str]
-    successor_map: Mapping[tuple[str, str], str]
-    utility_map: Mapping[tuple[str, str], Fraction]
-    infosets: Mapping[str, tuple[str, ...]]
-    root: str
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def utility(self, player: str, outcome: str) -> Fraction:
         return self.utility_map[(player, outcome)]
@@ -74,19 +73,11 @@ class Game:
         return _Tree(self)
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    code: str
-    message: str
-    ids: tuple[str, ...] = ()
+ValidationIssue = namedtuple("ValidationIssue", "code message ids", defaults=((),))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    errors: tuple[ValidationIssue, ...]
-    is_canonical: bool
-    has_perfect_recall: bool
-    has_ties: bool
+class ValidationReport(namedtuple("ValidationReport", "errors is_canonical has_perfect_recall has_ties")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

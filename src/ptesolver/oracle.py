@@ -12,9 +12,9 @@ live with the tests, in ``tests/conftest.py``.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Callable
 
 # Unused here: bench/worker.py imports only cli and oracle before Recorder.install wraps all five layers.
 from . import spacetime

@@ -37,10 +37,10 @@ paper's step in a few integer operations per cell:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Collection, Iterable, Mapping
 from fractions import Fraction
 from operator import itemgetter
-from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .game import Game
 
@@ -122,12 +122,7 @@ class SolverState:
         return f"SolverState({', '.join(f'{n}={v!r}' for n, v in zip(names, self._fields()))})"
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    fixpoint: frozenset[str]
-    steps: tuple[SolverState, ...]
-    has_ties: bool
-    status: str
+SolveResult = namedtuple("SolveResult", "fixpoint steps has_ties status")
 
 
 def _exact_key(value: Fraction) -> tuple[float, Fraction]:
@@ -164,14 +159,8 @@ class _Ranks:
         return result
 
 
-class _Cell(NamedTuple):
-    """A cell's outcome masks, in its player's ranks; actions in cell order."""
-
-    label: str
-    player: str
-    ranks: _Ranks
-    mask: int
-    actions: tuple[tuple[str, int], ...]
+# A cell's outcome masks, in its player's _Ranks; actions are (action, mask) pairs in cell order.
+_Cell = namedtuple("_Cell", "label player ranks mask actions")
 
 
 class _Index:

@@ -36,13 +36,13 @@ unless the skipped point's row has to be read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from math import lcm
 from operator import contains, is_not, itemgetter, mul
-from typing import Mapping, Sequence
 
 from .game import Game, ValidationIssue
 
@@ -56,8 +56,7 @@ COLOCATED = "colocated"
 HISTORY_SLACK = 1024
 
 
-@dataclass(frozen=True)
-class Separation:
+class Separation(namedtuple("Separation", "kind earlier", defaults=(None,))):
     """Causal classification of a pair of events.
 
     ``earlier`` is 0 or 1 (argument position of the earlier event) for
@@ -66,40 +65,29 @@ class Separation:
     timelike, ordered by their time coordinates.
     """
 
-    kind: str
-    earlier: int | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DecisionPoint:
-    id: str
-    agent: str
-    coords: tuple[Fraction, ...]
-    actions: tuple[str, ...]
+# A point's ``coords`` is a tuple of Fractions, time last; ``actions`` a tuple of action ids.
+DecisionPoint = namedtuple("DecisionPoint", "id agent coords actions")
 
 
-@dataclass(frozen=True)
-class SpacetimeSetup:
+class SpacetimeSetup(namedtuple("SpacetimeSetup", "dimension agents actions points contingency utilities")):
     """Decision points plus the data needed to build the induced game.
 
-    ``contingency`` maps a point id to {earlier point id: required
-    action}; omitted entries mean no requirement is representable there
-    (the dummy value). ``utilities`` maps each complete history's key to
-    {agent: payoff}: its actions in the total order, joined by commas,
-    with ``_`` where no decision happens.
+    ``agents`` and ``actions`` are tuples of ids and ``points`` a tuple of
+    :class:`DecisionPoint`. ``contingency`` maps a point id to {earlier
+    point id: required action}; omitted entries mean no requirement is
+    representable there (the dummy value). ``utilities`` maps each
+    complete history's key to {agent: Fraction payoff}: its actions in
+    the total order, joined by commas, with ``_`` where no decision happens.
     """
 
-    dimension: int
-    agents: tuple[str, ...]
-    actions: tuple[str, ...]
-    points: tuple[DecisionPoint, ...]
-    contingency: Mapping[str, Mapping[str, str]]
-    utilities: Mapping[str, Mapping[str, Fraction]]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SetupReport:
-    errors: tuple[ValidationIssue, ...]
+class SetupReport(namedtuple("SetupReport", "errors")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -312,15 +300,20 @@ def _triangle_issues(setup: SpacetimeSetup, triangle: _Triangle) -> list[Validat
     index = {point.id: position for position, point in enumerate(order)}
 
     for pid, assigned in setup.contingency.items():
-        if pid not in index:
+        k = index.get(pid)
+        if k is None:
             errors.append(ValidationIssue("UNKNOWN_POINT", f"contingency row for unknown point {pid!r}", (pid,)))
+            continue
+        # The row's entries at earlier points are its required positions; if
+        # that is all of them, it names no unknown or later point.
+        if len(assigned) == len(triangle.required[k]):
             continue
         for other in assigned:
             if other not in index:
                 errors.append(
                     ValidationIssue("UNKNOWN_POINT", f"row {pid!r} references unknown point {other!r}", (pid, other))
                 )
-            elif index[other] >= index[pid]:
+            elif index[other] >= k:
                 errors.append(
                     ValidationIssue(
                         "NOT_EARLIER",

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import textwrap
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -172,7 +171,7 @@ class TestTraceJson:
         result = solve(pd_game)
         first, second = result.steps[:2]
         gone = SolverState(1, second.surviving, second.reached, second.maximins, first.preempted, first.preempted_by)
-        broken = replace(result, steps=(first, gone) + result.steps[2:])
+        broken = result._replace(steps=(first, gone) + result.steps[2:])
         with pytest.raises(ValueError, match="step 1 preempts 'C,d', which does not survive it"):
             trace_to_jsonable(pd_game, broken)
 
@@ -554,7 +553,7 @@ class TestNumberBounds:
     def test_round_trip_at_the_digit_limit(self, pd_game, capsys, tmp_path):
         limit = sys.get_int_max_str_digits()
         for value in (f"1e{limit - 1}", f"-1e-{limit - 1}", f"1/{2 ** (3 * limit)}"):
-            game = replace(pd_game, utility_map={**pd_game.utility_map, ("Row", "C,c"): parse_exact(value)})
+            game = pd_game._replace(utility_map={**pd_game.utility_map, ("Row", "C,c"): parse_exact(value)})
             path = tmp_path / "game.json"
             path.write_text(serialize_game(game))
             assert run(["canonicalize", str(path)]) == 0

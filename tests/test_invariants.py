@@ -89,12 +89,15 @@ try:
     cli.main()
 except SystemExit as stop:
     code = stop.code
-print("\\n" + repr((code, sorted(name for name in sys.modules if name.startswith("ptesolver.")))))
+print("\\n" + repr((code, sorted(sys.modules))))
 """
+
+# What `import dataclasses` pulls in; no `pte` command needs any of it.
+INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def _cold_start(*argv: str) -> tuple[str, int, list[str]]:
-    """Standard output, exit code and loaded package modules of ``cli.main()`` in a fresh interpreter."""
+    """Standard output, exit code and every loaded module of ``cli.main()`` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-c", COLD_START, *argv], capture_output=True, text=True, env=env, cwd=ROOT, timeout=60
@@ -110,6 +113,18 @@ def test_solve_loads_neither_oracle_nor_spacetime():
     assert (code, json.loads(output)) == (0, {"status": "unique", "equilibrium": "C,c"})
     assert "ptesolver.cli" in modules and "ptesolver.solver" in modules
     assert "ptesolver.oracle" not in modules and "ptesolver.spacetime" not in modules
+    assert not INTROSPECTION.intersection(modules), sorted(INTROSPECTION.intersection(modules))
+
+
+def test_cli_import_without_site_loads_no_typing():
+    """With no site start-up to load it first, importing the CLI loads neither `typing` nor `dataclasses`."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, ptesolver.cli; print(sorted({'typing', 'dataclasses'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, cwd=ROOT, timeout=60
+    )
+    assert done.returncode == 0 and not done.stderr, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 BENCH_IMPORTS = """
@@ -136,3 +151,4 @@ def test_spacetime_build_loads_spacetime_but_not_oracle():
     output, code, modules = _cold_start("spacetime-build", "--game-only", "tests/fixtures/spacetime_example.json")
     assert code == 0 and json.loads(output)["players"]
     assert "ptesolver.spacetime" in modules and "ptesolver.oracle" not in modules
+    assert not INTROSPECTION.intersection(modules), sorted(INTROSPECTION.intersection(modules))

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -132,8 +131,7 @@ class TestNaiveSolve:
     def test_outcome_off_the_tree_reaches_no_cell(self, pd_game, payoff):
         # No path leads to the extra outcome, so it is below no cell: no cell
         # is certain to be crossed and the first step eliminates nothing.
-        game = replace(
-            pd_game,
+        game = pd_game._replace(
             outcomes=pd_game.outcomes + ("off",),
             utility_map={**pd_game.utility_map, **{(p, "off"): Fraction(payoff) for p in pd_game.players}},
         )

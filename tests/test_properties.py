@@ -19,7 +19,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -227,7 +226,7 @@ def documented_games(draw) -> Game:
     for node in game.choice_nodes:
         infosets[cell_of[node]] = infosets.get(cell_of[node], ()) + (node,)
     utility_map = {key: draw(exact_values) for key in game.utility_map}
-    return replace(game, infosets=infosets, utility_map=utility_map)
+    return game._replace(infosets=infosets, utility_map=utility_map)
 
 
 @PROPERTY_SETTINGS
@@ -361,7 +360,7 @@ def spacelike_normal_forms(draw) -> tuple[SpacetimeSetup, dict[tuple[str, ...], 
         ",".join(profile): {point.agent: Fraction(v) for point, v in zip(ordered, payoffs)}
         for profile, payoffs in matrix.items()
     }
-    return replace(setup, utilities=utilities), matrix
+    return setup._replace(utilities=utilities), matrix
 
 
 @PROPERTY_SETTINGS
@@ -375,7 +374,7 @@ def test_spacelike_setup_builds_its_normal_form_embedding(drawn):
     # the embedding both level by level in the total order.
     assert sorted(built.choice_nodes) == sorted(embedded.choice_nodes)
     assert sorted(built.players) == sorted(embedded.players)
-    assert built == replace(embedded, players=built.players, choice_nodes=built.choice_nodes)
+    assert built == embedded._replace(players=built.players, choice_nodes=built.choice_nodes)
     by_build, by_embedding = solve(built), solve(embedded)
     assert by_build.fixpoint == by_embedding.fixpoint
     assert len(by_build.steps) == len(by_embedding.steps)
@@ -430,7 +429,7 @@ def check_solve_and_trace(game: Game) -> None:
 
 
 def perfect_information(game: Game) -> Game:
-    return replace(game, infosets={f"c{i}": (node,) for i, node in enumerate(game.choice_nodes)})
+    return game._replace(infosets={f"c{i}": (node,) for i, node in enumerate(game.choice_nodes)})
 
 
 @st.composite
@@ -474,8 +473,7 @@ def test_outcome_off_the_tree_streams_its_trace(game, payoff, data):
     # No path leads to "off", so the oracle, which reads root paths, cannot
     # take it; the steps are checked to follow one another instead.
     position = data.draw(st.integers(0, len(game.outcomes)))
-    off = replace(
-        game,
+    off = game._replace(
         outcomes=game.outcomes[:position] + ("off",) + game.outcomes[position:],
         utility_map={**game.utility_map, **{(p, "off"): Fraction(payoff) for p in game.players}},
     )

@@ -8,7 +8,6 @@ import sys
 import textwrap
 import time
 from fractions import Fraction
-from dataclasses import replace
 from itertools import product
 from math import gcd
 from pathlib import Path
@@ -294,7 +293,7 @@ class TestIntegerIntervals:
         )
         with pytest.raises(ValueError, match="coordinates must have length 2"):
             causal_dag(setup)
-        assert causal_dag(replace(setup, points=setup.points[1:])) == {"q": frozenset()}
+        assert causal_dag(setup._replace(points=setup.points[1:])) == {"q": frozenset()}
 
 
 class TestIntervalTestCount:
@@ -388,6 +387,25 @@ class TestTriangle:
         codes = {i.code for i in validate_setup(setup).errors}
         assert "NOT_EARLIER" in codes
 
+    def test_rows_naming_unknown_or_later_points_are_reported_in_row_and_entry_order(self, hexa_setup):
+        rows = dict(hexa_setup.contingency)
+        contingency = {
+            "b": rows["b"],
+            "nowhere": {"a": "1"},
+            "c": rows["c"],
+            "e": {"d": "7", "ghost": "1", "a": "2", "f": "11"},
+            "f": rows["f"],
+        }
+        assert validate_setup(hexa_setup._replace(contingency=contingency)).errors == (
+            ValidationIssue("UNKNOWN_POINT", "contingency row for unknown point 'nowhere'", ("nowhere",)),
+            ValidationIssue("UNKNOWN_POINT", "row 'e' references unknown point 'ghost'", ("e", "ghost")),
+            ValidationIssue(
+                "NOT_EARLIER",
+                "row 'e' assigns an action to 'f', which does not precede it in the total order",
+                ("e", "f"),
+            ),
+        )
+
 
 # The contingency issues that mutated rows over known points can raise.
 TRIANGLE_CODES = {"NOT_EARLIER", "NOT_CAUSAL", "INCONSISTENT_ROW", "BAD_CONTINGENT_ACTION", "MISSING_CONTINGENCY"}
@@ -412,7 +430,7 @@ def mutated_contingencies(setup: SpacetimeSetup, rng: random.Random) -> list[Spa
         other = rng.choice(sorted(rows[pid]))
         off_list = [a for a in setup.actions if a not in points[other].actions] + ["nowhere"]
         mutants.append({**rows, pid: {**rows[pid], other: rng.choice(off_list)}})
-    return [replace(setup, contingency=contingency) for contingency in mutants]
+    return [setup._replace(contingency=contingency) for contingency in mutants]
 
 
 def layered_setup(seed: int) -> SpacetimeSetup:
@@ -461,7 +479,7 @@ def repeated_inconsistency(setup: SpacetimeSetup, rng: random.Random) -> tuple[S
     row_l = {**rows[l], m: rng.choice([a for a in points[m].actions if a != rows[j][m]])}
     k = rng.choice(sorted(dag[l]))
     contingency = {**rows, l: row_l, k: {**row_l, l: rng.choice(points[l].actions)}}
-    return replace(setup, contingency=contingency), (k, j)
+    return setup._replace(contingency=contingency), (k, j)
 
 
 class TestTriangleReference:
@@ -787,7 +805,7 @@ class TestBuildGame:
             # The build lists choice nodes in preorder and the embedding level
             # by level; from three points on only that declaration order differs.
             assert sorted(built.choice_nodes) == sorted(embedded.choice_nodes)
-            assert built == replace(embedded, choice_nodes=built.choice_nodes)
+            assert built == embedded._replace(choice_nodes=built.choice_nodes)
             if len(agents) == 2:
                 assert built == embedded
 
@@ -879,14 +897,14 @@ class TestBuildGame:
     def test_point_listing_an_action_twice_is_refused(self, hexa_setup):
         # Built, such a point gave two edges per repeated action and duplicate outcome ids.
         e = hexa_setup.points[4]
-        doubled = replace(e, actions=e.actions + e.actions[-1:])
+        doubled = e._replace(actions=e.actions + e.actions[-1:])
         points = tuple(doubled if p.id == "e" else p for p in hexa_setup.points)
-        report = validate_setup(replace(hexa_setup, points=points))
+        report = validate_setup(hexa_setup._replace(points=points))
         assert [(i.code, i.message) for i in report.errors] == [
             ("DUPLICATE_ACTION", "point 'e' lists an action twice")
         ]
         with pytest.raises(SetupError):
-            build_game(replace(hexa_setup, points=points))
+            build_game(hexa_setup._replace(points=points))
 
     def test_unknown_history_in_utilities(self, hexa_setup):
         extra = dict(hexa_setup.utilities)
